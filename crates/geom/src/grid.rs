@@ -1,16 +1,62 @@
-//! Uniform spatial hash grid for neighbor queries.
+//! Uniform CSR cell grid for the per-tick unit-disk link set.
 //!
-//! The simulator recomputes the unit-disk link set every tick; a uniform
-//! grid with cell size ≥ the query radius makes each per-node query inspect
-//! only the 3×3 surrounding cells, turning the per-tick cost from `O(N²)`
-//! into `O(N·d)`.
+//! The simulator recomputes every link within radius `r` each tick. The
+//! grid cuts the square into `k × k` cells wider than `r` (by a relative
+//! 1e-9, so rounding in the cell index cannot put a linked pair two cells
+//! apart). Every linked pair therefore lies in the same or an adjacent
+//! cell, and
+//! [`SpatialGrid::for_each_pair`] visits each such cell pair exactly once
+//! through a forward half-stencil (in-cell, then E, SW, S, SE). Each
+//! candidate pair is tested once, and the per-tick cost is `O(N·d)`.
+//!
+//! **Layout.** [`SpatialGrid::rebuild`] is a counting sort. Per-cell
+//! counts become CSR offsets (`starts`), node ids are scattered grouped by
+//! cell, and positions are copied in the same cell order, so the scan
+//! walks contiguous memory. Every buffer is reused across ticks.
+//!
+//! **Torus.** A neighbour cell across the seam is scanned through its
+//! periodic image: the scan shifts the pair by `±side` once per cell
+//! pair instead of folding every candidate into the minimum image. With
+//! at least three cells per axis that image is the unique one within
+//! `r`. A torus with fewer cells, where wrapped neighbour cells coincide,
+//! tests all pairs with [`Metric::within`].
+//!
+//! **Bit-exactness.** The local (shifted) `d²` can differ from
+//! [`Metric::distance_sq`] in the last bits. A pair is decided on the
+//! local `d²` only when `|d² − r²| > r²·`[`BAND_REL`], far wider than that
+//! rounding. Inside the band it is re-decided with [`Metric::within`] on
+//! the unshifted positions. The link set is therefore exactly the one
+//! `Metric::within` defines over all pairs.
+//!
+//! [`SpatialGrid::neighbors_within`] and [`SpatialGrid::nodes_near`]
+//! answer single-point queries over the same cells with
+//! [`Metric::within`].
 
 use crate::metric::Metric;
 use crate::region::SquareRegion;
 use crate::vec2::Vec2;
+use std::ops::Range;
 
-/// A uniform grid over a [`SquareRegion`] holding node indices, specialized
-/// for fixed-radius neighbor queries.
+/// Relative width of the decision band around `r²` inside which a local
+/// (translated or image-shifted) squared distance defers to
+/// [`Metric::within`] on the original coordinates.
+pub const BAND_REL: f64 = 1e-9;
+
+/// Cells are at least `r·(1 + CELL_SLACK)` wide, so rounding in the cell
+/// index can never put two points within `r` two cells apart.
+const CELL_SLACK: f64 = 1e-9;
+
+/// Cap on cells per axis, so cell indices fit the `u32` slot buffer and the
+/// offset table stays bounded; wider cells stay correct, only slower.
+const MAX_CELLS_PER_AXIS: usize = 4096;
+
+/// Forward half-stencil: E, SW, S, SE. With the in-cell pass and the
+/// mirrored directions visited from the other cell, this covers each
+/// same-or-adjacent cell pair once.
+const STENCIL: [(isize, isize); 4] = [(1, 0), (-1, 1), (0, 1), (1, 1)];
+
+/// A uniform CSR cell grid over a [`SquareRegion`] holding node indices,
+/// specialized for fixed-radius pair scans and neighbor queries.
 ///
 /// # Example
 ///
@@ -23,6 +69,9 @@ use crate::vec2::Vec2;
 /// let mut out = Vec::new();
 /// grid.neighbors_within(0, &mut out);
 /// assert_eq!(out, vec![1]);
+/// let mut pairs = Vec::new();
+/// grid.for_each_pair(|i, j| pairs.push((i, j)));
+/// assert_eq!(pairs, vec![(0, 1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -31,8 +80,14 @@ pub struct SpatialGrid {
     radius: f64,
     cells_per_axis: usize,
     inv_cell: f64,
-    bins: Vec<Vec<u32>>,
-    positions: Vec<Vec2>,
+    /// CSR cell boundaries: cell `c` holds slots `starts[c]..starts[c + 1]`.
+    starts: Vec<u32>,
+    /// Node id at each slot (ids grouped by cell).
+    ids: Vec<u32>,
+    /// Position at each slot, in cell order (the input values, unshifted).
+    pts: Vec<Vec2>,
+    /// Slot of each node id (its cell while `rebuild` counts).
+    slot: Vec<u32>,
 }
 
 impl SpatialGrid {
@@ -52,18 +107,20 @@ impl SpatialGrid {
             radius,
             cells_per_axis: 0,
             inv_cell: 0.0,
-            bins: Vec::new(),
-            positions: Vec::new(),
+            starts: Vec::new(),
+            ids: Vec::new(),
+            pts: Vec::new(),
+            slot: Vec::new(),
         };
         grid.rebuild(positions, region, radius, metric);
         grid
     }
 
-    /// Re-indexes the grid in place for a new tick's positions, reusing the
-    /// bin and position allocations of the previous build. Equivalent to
-    /// replacing `self` with [`SpatialGrid::build`] on the same arguments,
-    /// but allocation-free in the steady state (bins are only resized when
-    /// the cell count changes).
+    /// Re-indexes the grid in place for a new tick's positions, reusing
+    /// every buffer of the previous build. Equivalent to replacing `self`
+    /// with [`SpatialGrid::build`] on the same arguments, but
+    /// allocation-free in the steady state (buffers only grow when the
+    /// node or cell count does).
     ///
     /// # Panics
     ///
@@ -81,26 +138,43 @@ impl SpatialGrid {
         );
         assert!(positions.len() <= u32::MAX as usize, "too many positions");
         let side = region.side();
-        let cells_per_axis = ((side / radius).floor() as usize).max(1);
+        let k =
+            ((side / (radius * (1.0 + CELL_SLACK))).floor() as usize).clamp(1, MAX_CELLS_PER_AXIS);
         self.region = region;
         self.metric = metric;
         self.radius = radius;
-        self.inv_cell = cells_per_axis as f64 / side;
-        if cells_per_axis != self.cells_per_axis {
-            self.cells_per_axis = cells_per_axis;
-            self.bins
-                .resize_with(cells_per_axis * cells_per_axis, Vec::new);
-        }
-        for bin in &mut self.bins {
-            bin.clear();
-        }
-        self.positions.clear();
-        self.positions.extend_from_slice(positions);
-        for (i, &p) in positions.iter().enumerate() {
+        self.cells_per_axis = k;
+        self.inv_cell = k as f64 / side;
+
+        // Count per cell into starts[c + 1], then prefix-sum.
+        self.starts.clear();
+        self.starts.resize(k * k + 1, 0);
+        self.slot.clear();
+        for &p in positions {
             debug_assert!(region.contains(p), "position {p} outside region");
-            let (cx, cy) = cell_of(p, self.inv_cell, cells_per_axis);
-            self.bins[cy * cells_per_axis + cx].push(i as u32);
+            let c = self.cell_index(p);
+            self.slot.push(c as u32);
+            self.starts[c + 1] += 1;
         }
+        for c in 0..k * k {
+            self.starts[c + 1] += self.starts[c];
+        }
+        // Scatter, using starts[c] as the cursor of cell c; afterwards it
+        // holds the end of c, so shift the offsets back by one cell.
+        self.ids.clear();
+        self.ids.resize(positions.len(), 0);
+        self.pts.clear();
+        self.pts.resize(positions.len(), Vec2::ZERO);
+        for (i, (s, &p)) in self.slot.iter_mut().zip(positions).enumerate() {
+            let cursor = &mut self.starts[*s as usize];
+            let at = *cursor;
+            *cursor += 1;
+            self.ids[at as usize] = i as u32;
+            self.pts[at as usize] = p;
+            *s = at;
+        }
+        self.starts.copy_within(..k * k, 1);
+        self.starts[0] = 0;
     }
 
     /// Query radius this grid was built for.
@@ -115,12 +189,12 @@ impl SpatialGrid {
 
     /// Number of indexed positions.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.ids.len()
     }
 
     /// Whether the grid indexes no positions.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.ids.is_empty()
     }
 
     /// Collects the indices of all nodes within `radius` of node `i`
@@ -133,58 +207,128 @@ impl SpatialGrid {
     ///
     /// Panics if `i` is out of bounds.
     pub fn neighbors_within(&self, i: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let p = self.positions[i];
-        self.for_each_candidate_cell(p, |bin| {
-            for &j in &self.bins[bin] {
-                if j as usize != i
-                    && self
-                        .metric
-                        .within(p, self.positions[j as usize], self.radius)
-                {
-                    out.push(j);
-                }
-            }
-        });
-        out.sort_unstable();
+        self.nodes_near(self.pts[self.slot[i] as usize], out);
+        out.retain(|&j| j as usize != i);
     }
 
     /// Collects the indices of all nodes within `radius` of an arbitrary
-    /// point (which need not be an indexed node).
+    /// point (which need not be an indexed node) into `out`, sorted.
     pub fn nodes_near(&self, p: Vec2, out: &mut Vec<u32>) {
         out.clear();
-        self.for_each_candidate_cell(p, |bin| {
-            for &j in &self.bins[bin] {
-                if self
-                    .metric
-                    .within(p, self.positions[j as usize], self.radius)
-                {
-                    out.push(j);
+        self.for_each_candidate_cell(p, |c| {
+            for s in self.cell(c) {
+                if self.metric.within(p, self.pts[s], self.radius) {
+                    out.push(self.ids[s]);
                 }
             }
         });
         out.sort_unstable();
     }
 
-    /// Calls `f(i, j)` once for every unordered pair `i < j` within `radius`.
+    /// Calls `f(i, j)` once for every unordered pair `i < j` within
+    /// `radius`, in unspecified order: the half-stencil scan described in
+    /// the module docs.
     pub fn for_each_pair<F: FnMut(u32, u32)>(&self, mut f: F) {
-        let mut out = Vec::new();
-        for i in 0..self.positions.len() {
-            self.neighbors_within(i, &mut out);
-            for &j in &out {
-                if (i as u32) < j {
-                    f(i as u32, j);
+        let k = self.cells_per_axis;
+        let wrap = match self.metric {
+            Metric::Toroidal { .. } if k < 3 => {
+                self.for_each_pair_all(f);
+                return;
+            }
+            Metric::Toroidal { side } => Some(side),
+            Metric::Euclidean => None,
+        };
+        let r2 = self.radius * self.radius;
+        let cut = Cut {
+            lo: r2 - r2 * BAND_REL,
+            hi: r2 + r2 * BAND_REL,
+        };
+        for cy in 0..k {
+            for cx in 0..k {
+                let here = self.cell(cy * k + cx);
+                self.cross(here.clone(), here.clone(), Vec2::ZERO, &cut, &mut f);
+                for (dx, dy) in STENCIL {
+                    if let Some((c, shift)) = neighbour(cx, cy, dx, dy, k, wrap) {
+                        self.cross(here.clone(), self.cell(c), shift, &cut, &mut f);
+                    }
                 }
             }
         }
+    }
+
+    /// Tests the slots of cell `here` against those of cell `there`, whose
+    /// image next to `here` is its positions plus `shift`, and reports the
+    /// linked pairs. A cell against itself visits each of its pairs once.
+    #[inline(always)]
+    fn cross<F: FnMut(u32, u32)>(
+        &self,
+        here: Range<usize>,
+        there: Range<usize>,
+        shift: Vec2,
+        cut: &Cut,
+        f: &mut F,
+    ) {
+        let same = here == there;
+        for a in here {
+            let q = self.pts[a] - shift;
+            let from = if same { a + 1 } else { there.start };
+            for (b, &pb) in (from..there.end).zip(&self.pts[from..there.end]) {
+                let (dx, dy) = (q.x - pb.x, q.y - pb.y);
+                let d2 = dx * dx + dy * dy;
+                if d2 < cut.lo || (d2 <= cut.hi && self.metric.within(self.pts[a], pb, self.radius))
+                {
+                    self.emit(a, b, f);
+                }
+            }
+        }
+    }
+
+    /// All-pairs fallback for a torus too small for the stencil.
+    fn for_each_pair_all<F: FnMut(u32, u32)>(&self, mut f: F) {
+        for (a, &pa) in self.pts.iter().enumerate() {
+            for (b, &pb) in self.pts.iter().enumerate().skip(a + 1) {
+                if self.metric.within(pa, pb, self.radius) {
+                    self.emit(a, b, &mut f);
+                }
+            }
+        }
+    }
+
+    /// Reports the pair at slots `a` and `b` as node ids, lower first.
+    #[inline(always)]
+    fn emit<F: FnMut(u32, u32)>(&self, a: usize, b: usize, f: &mut F) {
+        let (i, j) = (self.ids[a], self.ids[b]);
+        if i < j {
+            f(i, j)
+        } else {
+            f(j, i)
+        }
+    }
+
+    /// Slots of cell `c`.
+    #[inline]
+    fn cell(&self, c: usize) -> Range<usize> {
+        self.starts[c] as usize..self.starts[c + 1] as usize
+    }
+
+    /// Cell index of a point (clamped, so rounding at the far edges stays
+    /// in range).
+    #[inline]
+    fn cell_index(&self, p: Vec2) -> usize {
+        let k = self.cells_per_axis;
+        let cx = ((p.x * self.inv_cell) as usize).min(k - 1);
+        let cy = ((p.y * self.inv_cell) as usize).min(k - 1);
+        cy * k + cx
     }
 
     /// Visits each distinct candidate cell in the 3×3 neighborhood of `p`'s
     /// cell, handling torus wrap and small grids (where wrapped neighbor
     /// cells coincide).
     fn for_each_candidate_cell<F: FnMut(usize)>(&self, p: Vec2, mut f: F) {
-        let n = self.cells_per_axis as isize;
-        let (cx, cy) = cell_of(p, self.inv_cell, self.cells_per_axis);
+        let k = self.cells_per_axis;
+        let n = k as isize;
+        let c = self.cell_index(p);
+        let (cx, cy) = ((c % k) as isize, (c / k) as isize);
         let wrap = matches!(self.metric, Metric::Toroidal { .. });
         // On small grids wrapped neighbor cells coincide; dedupe through a
         // tiny fixed buffer (at most 9 candidates).
@@ -192,7 +336,7 @@ impl SpatialGrid {
         let mut count = 0;
         for dy in -1..=1isize {
             for dx in -1..=1isize {
-                let (x, y) = (cx as isize + dx, cy as isize + dy);
+                let (x, y) = (cx + dx, cy + dy);
                 let (x, y) = if wrap {
                     (x.rem_euclid(n), y.rem_euclid(n))
                 } else {
@@ -201,24 +345,55 @@ impl SpatialGrid {
                     }
                     (x, y)
                 };
-                let bin = y as usize * self.cells_per_axis + x as usize;
-                if visited[..count].contains(&bin) {
+                let cell = y as usize * k + x as usize;
+                if visited[..count].contains(&cell) {
                     continue;
                 }
-                visited[count] = bin;
+                visited[count] = cell;
                 count += 1;
-                f(bin);
+                f(cell);
             }
         }
     }
 }
 
-/// Computes the cell coordinates of a point.
+/// Thresholds on the local `d²`: below `lo` linked, above `hi` not, in
+/// between re-decided by the metric.
+struct Cut {
+    lo: f64,
+    hi: f64,
+}
+
+/// The stencil neighbour `(cx + dx, cy + dy)` of a cell in a `k × k` grid
+/// and the shift that takes its positions to the image adjacent to the
+/// cell; `None` past a Euclidean edge. `wrap` is the torus side, if any.
 #[inline]
-fn cell_of(p: Vec2, inv_cell: f64, cells_per_axis: usize) -> (usize, usize) {
-    let cx = ((p.x * inv_cell) as usize).min(cells_per_axis - 1);
-    let cy = ((p.y * inv_cell) as usize).min(cells_per_axis - 1);
-    (cx, cy)
+fn neighbour(
+    cx: usize,
+    cy: usize,
+    dx: isize,
+    dy: isize,
+    k: usize,
+    wrap: Option<f64>,
+) -> Option<(usize, Vec2)> {
+    let (mut x, mut y) = (cx as isize + dx, cy as isize + dy);
+    let n = k as isize;
+    let mut shift = Vec2::ZERO;
+    if x < 0 || x >= n || y >= n {
+        let side = wrap?;
+        if x < 0 {
+            x += n;
+            shift.x = -side;
+        } else if x >= n {
+            x -= n;
+            shift.x = side;
+        }
+        if y >= n {
+            y -= n;
+            shift.y = side;
+        }
+    }
+    Some((y as usize * k + x as usize, shift))
 }
 
 #[cfg(test)]
@@ -376,5 +551,190 @@ mod tests {
     #[should_panic(expected = "radius")]
     fn zero_radius_panics() {
         SpatialGrid::build(&[], SquareRegion::new(10.0), 0.0, Metric::Euclidean);
+    }
+
+    /// Both metrics, for the scans below.
+    fn metrics(side: f64) -> [Metric; 2] {
+        [Metric::Euclidean, Metric::toroidal(side)]
+    }
+
+    /// Seeded uniform points plus the hard cases: points on cell edges and
+    /// on the torus seam, and pairs `r` and `r ± 1 ulp` apart along each
+    /// axis, both inside the grid (anchored on a cell edge) and across the
+    /// seam.
+    fn probe_points(side: f64, radius: f64, k: usize, seed: u64) -> Vec<Vec2> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let any = |rng: &mut Rng| rng.f64_range(0.0..side);
+        let mut pts: Vec<Vec2> = (0..120)
+            .map(|_| Vec2::new(any(&mut rng), any(&mut rng)))
+            .collect();
+        let w = side / k as f64;
+        let last = side.next_down();
+        for m in 0..k {
+            let e = m as f64 * w;
+            pts.extend([
+                Vec2::new(e, any(&mut rng)),
+                Vec2::new(any(&mut rng), e),
+                Vec2::new(e, e),
+            ]);
+        }
+        pts.extend([
+            Vec2::new(last, any(&mut rng)),
+            Vec2::new(any(&mut rng), last),
+            Vec2::new(last, last),
+            Vec2::new(0.0, 0.0),
+        ]);
+        let edge = if k > 1 { w } else { 0.0 };
+        for d in [radius.next_down(), radius, radius.next_up()] {
+            for (u, v) in [
+                (0.0, d),                  // exactly d apart
+                (edge, edge + d),          // from a cell edge
+                (side - d * 0.5, d * 0.5), // across the seam
+                (0.0, side - d),           // across the seam, from the seam
+            ] {
+                let t = any(&mut rng);
+                pts.extend([
+                    Vec2::new(u, t),
+                    Vec2::new(v, t),
+                    Vec2::new(t, u),
+                    Vec2::new(t, v),
+                ]);
+            }
+        }
+        // Offsets past an edge (r = side) stay inside the region.
+        for p in &mut pts {
+            *p = Vec2::new(p.x.clamp(0.0, last), p.y.clamp(0.0, last));
+        }
+        pts
+    }
+
+    /// Every pair `for_each_pair` reports, checked unique and `i < j`.
+    fn scanned_pairs(grid: &SpatialGrid) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        grid.for_each_pair(|i, j| {
+            assert!(i < j, "pair ({i}, {j}) not ordered");
+            pairs.push((i, j));
+        });
+        let reported = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(pairs.len(), reported, "a pair was reported twice");
+        pairs
+    }
+
+    fn all_pairs(positions: &[Vec2], radius: f64, metric: Metric) -> Vec<(u32, u32)> {
+        let n = positions.len() as u32;
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| metric.within(positions[i as usize], positions[j as usize], radius))
+            .collect()
+    }
+
+    #[test]
+    fn pair_scan_equals_all_pairs_at_every_cell_count() {
+        let side = 100.0;
+        let region = SquareRegion::new(side);
+        for k in [1usize, 2, 3, 4, 13] {
+            // Cells a bit wider than r, and exactly r wide (side / r an
+            // integer, where the cell slack keeps boundary pairs adjacent).
+            for (radius, cells) in [
+                (side / (k as f64 + 0.5), k),
+                (side / k as f64, k.max(2) - 1),
+            ] {
+                for metric in metrics(side) {
+                    for seed in 0..3u64 {
+                        let positions = probe_points(side, radius, cells, seed);
+                        let grid = SpatialGrid::build(&positions, region, radius, metric);
+                        assert_eq!(grid.cells_per_axis, cells, "r {radius}");
+                        assert_eq!(
+                            scanned_pairs(&grid),
+                            all_pairs(&positions, radius, metric),
+                            "k {cells} r {radius} {metric:?} seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_scan_survives_rebuild_with_changing_shape() {
+        let mut grid = SpatialGrid::build(&[], SquareRegion::new(10.0), 1.0, Metric::Euclidean);
+        for (seed, side, radius) in [
+            (1u64, 100.0, 7.0),
+            (2, 40.0, 13.0),
+            (3, 100.0, 3.0),
+            (4, 30.0, 29.0),
+        ] {
+            let region = SquareRegion::new(side);
+            for metric in metrics(side) {
+                let positions = random_positions(90 + seed as usize * 20, side, seed);
+                grid.rebuild(&positions, region, radius, metric);
+                assert_eq!(scanned_pairs(&grid), all_pairs(&positions, radius, metric));
+            }
+        }
+    }
+
+    /// With `side / r` an integer, `x · k / side` can round one point down
+    /// a cell and its partner `r` away up a cell. Here the two land two
+    /// cells apart unless cells are kept wider than `r`.
+    #[test]
+    fn cell_rounding_cannot_split_a_linked_pair() {
+        let (a, b) = (
+            Vec2::new(19.999999999999996, 50.0),
+            Vec2::new(29.999999999999996, 50.0),
+        );
+        let (i, j) = ((a.x * 0.1) as usize, (b.x * 0.1) as usize);
+        assert_eq!(j - i, 2, "the pair straddles two cell edges at 10 cells");
+        for metric in metrics(100.0) {
+            assert!(metric.within(a, b, 10.0));
+            let grid = SpatialGrid::build(&[a, b], SquareRegion::new(100.0), 10.0, metric);
+            assert_eq!(scanned_pairs(&grid), vec![(0, 1)], "{metric:?}");
+            let mut out = Vec::new();
+            grid.neighbors_within(0, &mut out);
+            assert_eq!(out, vec![1]);
+        }
+    }
+
+    /// A seam pair whose image-shifted `d²` (computed exactly as the scan
+    /// does for an eastward wrap) and `Metric::distance_sq` straddle `r²`:
+    /// only the band fallback can give the metric's verdict.
+    #[test]
+    fn band_fallback_gives_the_metric_verdict_across_the_seam() {
+        let side = 100.0;
+        let region = SquareRegion::new(side);
+        let metric = Metric::toroidal(side);
+        let mut rng = Rng::seed_from_u64(0xBA4D);
+        let mut grid = SpatialGrid::build(&[], region, 1.0, metric);
+        let mut exercised = 0;
+        for _ in 0..20_000 {
+            if exercised == 32 {
+                break;
+            }
+            let y = rng.f64_range(0.0..side);
+            let a = Vec2::new(rng.f64_range(0.5..4.0), y); // first column
+            let b = Vec2::new(rng.f64_range(96.0..99.5), y); // last column
+            let q = b - Vec2::new(side, 0.0);
+            let (dx, dy) = (q.x - a.x, q.y - a.y);
+            let local = dx * dx + dy * dy;
+            let global = metric.distance_sq(a, b);
+            let (lo, hi) = (local.min(global), local.max(global));
+            let s = lo.sqrt();
+            let Some(radius) = [s.next_down(), s, s.next_up()]
+                .into_iter()
+                .find(|r| lo <= r * r && r * r < hi)
+            else {
+                continue;
+            };
+            let truth = metric.within(a, b, radius);
+            assert_ne!(local <= radius * radius, truth, "local d² must disagree");
+            grid.rebuild(&[a, b], region, radius, metric);
+            assert!(grid.cells_per_axis >= 3);
+            let mut linked = false;
+            grid.for_each_pair(|_, _| linked = true);
+            assert_eq!(linked, truth, "a {a} b {b} r {radius}");
+            exercised += 1;
+        }
+        assert_eq!(exercised, 32, "too few straddling pairs found");
     }
 }

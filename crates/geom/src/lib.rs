@@ -7,8 +7,9 @@
 //! * [`region`] — the bounded square deployment region with boundary
 //!   policies (toroidal wrap-around, reflection).
 //! * [`metric`] — Euclidean and toroidal (minimum-image) distance metrics.
-//! * [`grid`] — a uniform spatial hash grid for `O(1)`-per-node neighbor
-//!   queries, supporting both metrics.
+//! * [`grid`] — a uniform CSR cell grid: the per-tick half-stencil scan
+//!   over all linked pairs, plus per-node neighbor queries, under both
+//!   metrics.
 //! * [`linkdist`] — link-distance distributions: Miller's CDF for uniform
 //!   points in a square (the paper's Claim 1 substrate) and the disc
 //!   line-picking CDF used by the intra-cluster ROUTE model.

@@ -1,12 +1,11 @@
 //! A rectangular, non-wrapping CSR bucket grid over one shard's local
 //! frame, with a half-stencil scan that visits every candidate pair once.
 //!
-//! Unlike the global `SpatialGrid` (which answers per-node queries under
-//! either metric), this grid is purpose-built for the shard plane: the
-//! frame already contains every relevant image of every relevant node in
-//! plain Euclidean coordinates, so no wrap handling is needed, and the
-//! pair-at-a-time scan halves the distance computations of a
-//! per-node-query design.
+//! It runs the same half-stencil scan as the global `SpatialGrid`, but
+//! over a rectangle and without wrap: the frame already contains every
+//! relevant image of every relevant node in plain Euclidean coordinates,
+//! so it only enumerates candidate pairs and the plane applies the
+//! distance predicate.
 
 use manet_geom::Vec2;
 

@@ -47,6 +47,7 @@
 use crate::grid::FrameGrid;
 use crate::interconnect::{Interconnect, InterconnectConfig};
 use manet_cluster::ClusterAssignment;
+use manet_geom::grid::BAND_REL;
 use manet_geom::{Metric, ShardDims, ShardLayout, ShardLayoutError, SquareRegion, Vec2};
 use manet_mobility::{Mobility, StepPlan};
 use manet_routing::intra::RouteUpdateOutcome;
@@ -61,10 +62,6 @@ use std::time::{Duration, Instant};
 
 /// Owner shard of a node not yet assigned (before its first tick).
 const UNASSIGNED: u16 = u16::MAX;
-
-/// Relative width of the decision band around `r²` inside which the
-/// local-frame Euclidean distance defers to the global metric.
-const BAND_REL: f64 = 1e-9;
 
 /// Per-shard, per-tick statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

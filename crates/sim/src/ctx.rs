@@ -61,7 +61,7 @@ impl FaultHooks for NoFaults {}
 /// measurement.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// The spatial hash grid, rebuilt (not reallocated) every tick.
+    /// The CSR cell grid, rebuilt into its reused buffers every tick.
     pub(crate) grid: Option<SpatialGrid>,
     /// The next-tick topology buffer, swapped with the world's current
     /// topology after the diff so neighbor-list capacities are recycled.

@@ -54,8 +54,14 @@ pub trait TopologyBuilder {
     );
 }
 
-/// The default [`TopologyBuilder`]: one monolithic spatial hash grid,
-/// rebuilt (not reallocated) in the scratch slot every tick.
+/// The default [`TopologyBuilder`]: one [`SpatialGrid`] over the whole
+/// region, rebuilt in the scratch slot every tick (a counting sort into
+/// reused CSR buffers), then [`Topology::compute_into`]. That runs the
+/// grid's half-stencil pair scan, which tests each candidate pair once,
+/// shifts seam-crossing cells by `±side` instead of folding every
+/// candidate into the minimum image, and defers pairs within `r²·1e-9` of
+/// the threshold to [`Metric::within`]. The rows are exactly
+/// `Metric::within` over all pairs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridTopology;
 
@@ -110,14 +116,31 @@ impl Topology {
     /// the tick's positions, reusing the per-node neighbor allocations.
     ///
     /// Equivalent to `*self = Topology::compute(..)` over the grid's
-    /// inputs, but allocation-free in the steady state: neighbor lists only
-    /// reallocate when a node's degree exceeds its list's past capacity.
+    /// inputs. The grid's pair scan reports each link once; it is pushed
+    /// into both endpoints' rows, which are then sorted. Rows are topped up
+    /// to twice the expected degree `n·πr²/side²` (at least 8), so the
+    /// steady state is allocation-free: a row only reallocates when a
+    /// node's degree exceeds that floor and its own past capacity.
     pub fn compute_into(&mut self, grid: &SpatialGrid) {
         let n = grid.len();
+        let (r, side) = (grid.radius(), grid.region().side());
+        let degree = n as f64 * std::f64::consts::PI * r * r / (side * side);
+        let floor = ((2.0 * degree).ceil() as usize).min(n).max(8);
         self.neighbors.truncate(n);
         self.neighbors.resize_with(n, Vec::new);
-        for (i, list) in self.neighbors.iter_mut().enumerate() {
-            grid.neighbors_within(i, list);
+        for row in &mut self.neighbors {
+            row.clear();
+            if row.capacity() < floor {
+                row.reserve(floor);
+            }
+        }
+        let rows = &mut self.neighbors;
+        grid.for_each_pair(|i, j| {
+            rows[i as usize].push(j);
+            rows[j as usize].push(i);
+        });
+        for row in rows {
+            row.sort_unstable();
         }
     }
 

@@ -121,6 +121,82 @@ fn check_diff_stability(seed: u64, rounds: usize, max_nodes: usize) {
     }
 }
 
+/// Seeded uniform points plus points on cell edges and on the torus seam,
+/// and pairs `r` and `r ± 1 ulp` apart along each axis, inside the grid
+/// (anchored on a cell edge) and across the seam.
+fn probe_points(rng: &mut Rng, side: f64, radius: f64, k: usize) -> Vec<Vec2> {
+    let mut pts = random_positions(rng, 150, side);
+    let w = side / k as f64;
+    let last = side.next_down();
+    for m in 0..k {
+        let (e, t) = (m as f64 * w, rng.f64() * side);
+        pts.extend([Vec2::new(e, t), Vec2::new(t, e), Vec2::new(e, e)]);
+    }
+    let t = rng.f64() * side;
+    pts.extend([Vec2::new(last, t), Vec2::new(t, last), Vec2::new(last, 0.0)]);
+    let edge = if k > 1 { w } else { 0.0 };
+    for d in [radius.next_down(), radius, radius.next_up()] {
+        for (u, v) in [
+            (0.0, d),
+            (edge, edge + d),
+            (side - d * 0.5, d * 0.5),
+            (0.0, side - d),
+        ] {
+            let t = rng.f64() * side;
+            pts.extend([
+                Vec2::new(u, t),
+                Vec2::new(v, t),
+                Vec2::new(t, u),
+                Vec2::new(t, v),
+            ]);
+        }
+    }
+    // Offsets past an edge (r = side) stay inside the region.
+    for p in &mut pts {
+        *p = Vec2::new(p.x.clamp(0.0, last), p.y.clamp(0.0, last));
+    }
+    pts
+}
+
+/// The link set of `Topology::compute` and of `compute_into` over one
+/// reused buffer and grid equals `Metric::within` over all pairs, for both
+/// metrics at 1, 2, 3, 4 and 13 grid cells per axis (cells a bit wider
+/// than `r`, or exactly `r` wide before the grid's slack).
+#[test]
+fn compute_equals_all_pairs_at_every_cell_count() {
+    let side = 300.0;
+    let region = SquareRegion::new(side);
+    let mut rng = Rng::seed_from_u64(0x5CA7);
+    let mut reused = Topology::default();
+    let mut grid: Option<SpatialGrid> = None;
+    for k in [1usize, 2, 3, 4, 13] {
+        for (radius, cells) in [
+            (side / (k as f64 + 0.5), k),
+            (side / k as f64, k.max(2) - 1),
+        ] {
+            for metric in [Metric::Euclidean, Metric::toroidal(side)] {
+                let positions = probe_points(&mut rng, side, radius, cells);
+                match &mut grid {
+                    Some(g) => g.rebuild(&positions, region, radius, metric),
+                    None => grid = Some(SpatialGrid::build(&positions, region, radius, metric)),
+                }
+                reused.compute_into(grid.as_ref().expect("grid built"));
+                let fresh = Topology::compute(&positions, region, radius, metric);
+                let n = positions.len() as u32;
+                let expected: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .filter(|&(i, j)| {
+                        metric.within(positions[i as usize], positions[j as usize], radius)
+                    })
+                    .collect();
+                let case = format!("k {k} r {radius} {metric:?}");
+                assert_eq!(fresh.links().collect::<Vec<_>>(), expected, "{case}");
+                assert_same(&reused, &fresh);
+            }
+        }
+    }
+}
+
 #[test]
 fn reused_buffer_equals_from_scratch() {
     for seed in [1, 0xC0FFEE, 0x5EED_5EED] {

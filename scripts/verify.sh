@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, release build, full test suite.
+# Tier-1 verification: formatting, lints, release build, the workspace test suite.
 # Hermetic and offline — the workspace resolves with zero external crates
 # (see the workspace manifest; `crates/bench` is excluded on purpose).
 #
@@ -53,8 +53,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# Every crate's unit and integration tests (the root package included),
+# not just the root package's.
+cargo test --workspace -q
 
 echo "==> telemetry smoke (trace_report --smoke)"
 cargo run -q --release -p manet-experiments --bin trace_report -- --smoke

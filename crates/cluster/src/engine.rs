@@ -144,6 +144,29 @@ pub struct FormationStats {
 pub struct Clustering<P> {
     policy: P,
     roles: Vec<Role>,
+    /// Per-pass orphan bookkeeping, kept so maintenance does not allocate.
+    orphans: Orphans,
+}
+
+/// Per-node orphan state of one maintenance pass, reset (not reallocated)
+/// at the start of every pass.
+#[derive(Debug, Clone, Default)]
+struct Orphans {
+    /// Why the node lost its affiliation this pass, if it did.
+    cause: Vec<Option<OrphanCause>>,
+    /// The root cause its re-home or promotion will carry. All `None` when
+    /// the probe has no cause tracker.
+    why: Vec<Option<Cause>>,
+}
+
+impl Orphans {
+    /// Clears both buffers to `n` entries of `None`.
+    fn reset(&mut self, n: usize) {
+        self.cause.clear();
+        self.cause.resize(n, None);
+        self.why.clear();
+        self.why.resize(n, None);
+    }
 }
 
 impl<P: ClusterPolicy> Clustering<P> {
@@ -213,7 +236,18 @@ impl<P: ClusterPolicy> Clustering<P> {
             .into_iter()
             .map(|r| r.expect("all nodes decided"))
             .collect();
-        (Clustering { policy, roles }, FormationStats { rounds })
+        (
+            Clustering::from_roles(policy, roles),
+            FormationStats { rounds },
+        )
+    }
+
+    fn from_roles(policy: P, roles: Vec<Role>) -> Self {
+        Clustering {
+            policy,
+            roles,
+            orphans: Orphans::default(),
+        }
     }
 
     /// Repairs the cluster structure against a new topology, returning the
@@ -268,10 +302,12 @@ impl<P: ClusterPolicy> Clustering<P> {
         );
         let mut outcome = MaintenanceOutcome::default();
         let n = self.roles.len();
-        let mut orphan_cause: Vec<Option<OrphanCause>> = vec![None; n];
-        // The root cause each orphan's eventual re-home or promotion will
-        // carry. All `None` when the probe has no cause tracker.
-        let mut orphan_why: Vec<Option<Cause>> = vec![None; n];
+        let mut orphans = std::mem::take(&mut self.orphans);
+        orphans.reset(n);
+        let Orphans {
+            cause: orphan_cause,
+            why: orphan_why,
+        } = &mut orphans;
 
         // Phase 1: members whose affiliation is broken — the head link is
         // gone, or (only possible after a lost repair or a recovery from a
@@ -475,6 +511,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                 }
             }
         }
+        self.orphans = orphans;
 
         // The engine only guarantees clean invariants when nothing was
         // lost, deferred, or down this pass.
@@ -566,8 +603,12 @@ impl<P: ClusterPolicy> Clustering<P> {
         contacts.sort_unstable();
 
         let mut outcome = MaintenanceOutcome::default();
-        let mut orphan_cause: Vec<Option<OrphanCause>> = vec![None; n];
-        let mut orphan_why: Vec<Option<Cause>> = vec![None; n];
+        let mut orphans = std::mem::take(&mut self.orphans);
+        orphans.reset(n);
+        let Orphans {
+            cause: orphan_cause,
+            why: orphan_why,
+        } = &mut orphans;
 
         // Phase 1 commit: orphan the broken members, ascending id — the
         // aliveness gate runs here, on the sequential path, exactly where
@@ -732,6 +773,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                 }
             }
         }
+        self.orphans = orphans;
 
         #[cfg(debug_assertions)]
         if outcome.lost_sends == 0
@@ -1104,27 +1146,21 @@ mod tests {
     #[test]
     fn invariant_checker_reports_violations() {
         let t = path(2);
-        let c = Clustering {
-            policy: LowestId,
-            roles: vec![Role::Head, Role::Head],
-        };
+        let c = Clustering::from_roles(LowestId, vec![Role::Head, Role::Head]);
         assert_eq!(
             c.check_invariants(&t),
             Err(InvariantViolation::AdjacentHeads(0, 1))
         );
-        let c = Clustering {
-            policy: LowestId,
-            roles: vec![Role::Member { head: 1 }, Role::Member { head: 0 }],
-        };
+        let c = Clustering::from_roles(
+            LowestId,
+            vec![Role::Member { head: 1 }, Role::Member { head: 0 }],
+        );
         assert!(matches!(
             c.check_invariants(&t),
             Err(InvariantViolation::HeadIsNotHead { member: 0, head: 1 })
         ));
         let t_far = topo(&[(0.0, 0.0), (50.0, 0.0)], 1.0);
-        let c = Clustering {
-            policy: LowestId,
-            roles: vec![Role::Head, Role::Member { head: 0 }],
-        };
+        let c = Clustering::from_roles(LowestId, vec![Role::Head, Role::Member { head: 0 }]);
         assert!(matches!(
             c.check_invariants(&t_far),
             Err(InvariantViolation::HeadOutOfRange { member: 1, head: 0 })
@@ -1137,15 +1173,15 @@ mod tests {
     #[test]
     fn violations_reports_every_breakage() {
         let t = path(4);
-        let c = Clustering {
-            policy: LowestId,
-            roles: vec![
+        let c = Clustering::from_roles(
+            LowestId,
+            vec![
                 Role::Head,
                 Role::Head,
                 Role::Member { head: 3 },
                 Role::Member { head: 0 },
             ],
-        };
+        );
         let v = c.violations(&t);
         // (0,1) adjacent heads; 2's head 3 is not a head; 3's head 0 is out
         // of range on a 4-path.

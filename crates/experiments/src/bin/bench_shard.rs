@@ -226,7 +226,7 @@ impl StackBench {
 /// Mobility→HELLO→Cluster→Route pipeline per tick, through the stage
 /// traits (monolithic defaults vs the shard plane's frame-parallel
 /// stages). The imbalance here aggregates *all* per-shard stage spans —
-/// topology compute plus the scoped HELLO/cluster/route scans.
+/// topology compute plus the scoped HELLO and cluster scans.
 fn bench_stack_cell(
     nodes: usize,
     layout: Option<ShardDims>,
@@ -271,7 +271,6 @@ fn bench_stack_cell(
                     SpanLabel::ShardCompute,
                     SpanLabel::ShardHello,
                     SpanLabel::ShardCluster,
-                    SpanLabel::ShardRoute,
                 ]
                 .iter()
                 .map(|&l| spans.hist(l, Some(s as u16)).map_or(0.0, |h| h.sum()))

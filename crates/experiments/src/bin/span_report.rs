@@ -126,7 +126,6 @@ fn quick_report() -> ExitCode {
         SpanLabel::ShardCompute,
         SpanLabel::ShardHello,
         SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
         SpanLabel::IcSend,
         SpanLabel::IcDeliver,
     ] {
@@ -167,17 +166,14 @@ fn quick_report() -> ExitCode {
     };
     let (compute_sum, compute_max) = per_shard(SpanLabel::ShardCompute);
     // The scoped stage scans (frame-parallel HELLO sweep, cluster
-    // contact/break scan, route snapshot scan) are the parallel part of
-    // the otherwise serial protocol stages; like the topology compute,
-    // the critical path replaces each sum with its slowest shard.
-    let (scan_sum, scan_max) = [
-        SpanLabel::ShardHello,
-        SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
-    ]
-    .iter()
-    .map(|&l| per_shard(l))
-    .fold((0.0, 0.0), |(s, m), (s2, m2)| (s + s2, m + m2));
+    // contact/break scan) are the parallel part of the otherwise serial
+    // protocol stages; like the topology compute, the critical path
+    // replaces each sum with its slowest shard. The route diff runs
+    // whole (DESIGN.md §17), so it counts as serial stage work.
+    let (scan_sum, scan_max) = [SpanLabel::ShardHello, SpanLabel::ShardCluster]
+        .iter()
+        .map(|&l| per_shard(l))
+        .fold((0.0, 0.0), |(s, m), (s2, m2)| (s + s2, m + m2));
     let serial_stages: f64 = Phase::TICK
         .iter()
         .filter(|&&p| p != Phase::Topology)
@@ -192,7 +188,7 @@ fn quick_report() -> ExitCode {
     let mut t = Table::new(["component", "us/tick", "share"]);
     for (name, v) in [
         ("serial stage work (minus scoped scans)", serial_rest),
-        ("slowest-shard stage scans (hello+cluster+route)", scan_max),
+        ("slowest-shard stage scans (hello+cluster)", scan_max),
         ("shard flush (interconnect)", flush),
         ("shard merge + reconcile", merge),
         ("topology overhead (spawn/join, diff)", topo_overhead),

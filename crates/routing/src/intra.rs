@@ -6,11 +6,17 @@
 //! a member joins or leaves, or a link between two co-cluster nodes forms
 //! or breaks — one update round propagates through the cluster, costing one
 //! ROUTE message per cluster node.
+//!
+//! Each pass diffs a per-tick snapshot of every cluster's internal
+//! topology against the previous tick's. The snapshot is flat CSR: the
+//! cluster nodes and the intra-cluster links in two buffers, grouped by
+//! head id with a stable counting sort, plus one offset array each. The
+//! previous and current snapshots are double-buffered — swapped after
+//! every pass, capacities kept — so a steady-state pass allocates nothing.
 
 use manet_cluster::ClusterAssignment;
-use manet_sim::{Channel, NodeId, SimError, StageScope, StepCtx, Topology};
+use manet_sim::{Channel, NodeId, SimError, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, MsgClass, RootCause};
-use std::collections::BTreeMap;
 
 /// ROUTE-message accounting for one update pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,13 +63,106 @@ impl RouteUpdateOutcome {
     }
 }
 
-/// Canonical snapshot of one cluster's internal topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ClusterSnapshot {
-    /// All cluster nodes (head + members), sorted.
-    nodes: Vec<NodeId>,
-    /// Intra-cluster links `(a, b)` with `a < b`, sorted.
-    links: Vec<(NodeId, NodeId)>,
+/// Items grouped by head id, in CSR form: bucket `h` is
+/// `items[at[h]..at[h + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Csr<T> {
+    at: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Bucket `h`; empty past the last one.
+    fn bucket(&self, h: usize) -> &[T] {
+        match (self.at.get(h), self.at.get(h + 1)) {
+            (Some(&start), Some(&end)) => &self.items[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Refills the buckets with a stable counting sort of `items` by
+    /// `key` over `buckets` head ids, so each bucket keeps input order.
+    fn refill(
+        &mut self,
+        items: impl Iterator<Item = T> + Clone,
+        key: impl Fn(T) -> NodeId,
+        buckets: usize,
+    ) {
+        let at = &mut self.at;
+        at.clear();
+        at.resize(buckets + 1, 0);
+        for item in items.clone() {
+            at[key(item) as usize + 1] += 1;
+        }
+        for k in 1..=buckets {
+            at[k] += at[k - 1];
+        }
+        let total = at[buckets] as usize;
+        self.items.clear();
+        self.items.resize(total, T::default());
+        // `at[k]` doubles as bucket k's write cursor, ending at bucket
+        // k + 1's start; one shift restores the offsets.
+        for item in items {
+            let k = key(item) as usize;
+            self.items[at[k] as usize] = item;
+            at[k] += 1;
+        }
+        at.copy_within(0..buckets, 1);
+        at[0] = 0;
+    }
+}
+
+/// Every cluster's internal topology at one tick, keyed by head id: its
+/// nodes (head + members) and its intra-cluster links `(a, b)`, `a < b`,
+/// both ascending, so two ticks' clusters compare slice by slice. A head
+/// id that leads no cluster has an empty node bucket.
+#[derive(Debug, Clone, Default)]
+struct Snapshot {
+    nodes: Csr<NodeId>,
+    links: Csr<(NodeId, NodeId)>,
+}
+
+impl Snapshot {
+    /// Number of head ids covered (empty buckets included).
+    fn head_ids(&self) -> usize {
+        self.nodes.at.len().saturating_sub(1)
+    }
+
+    /// Cluster `h`'s nodes and intra-cluster links.
+    fn cluster(&self, h: usize) -> (&[NodeId], &[(NodeId, NodeId)]) {
+        (self.nodes.bucket(h), self.links.bucket(h))
+    }
+
+    /// Refills the snapshot from the tick's `heads[u]` array. The
+    /// intra-cluster links are scanned once, in `Topology::links` order,
+    /// into `pairs`. `pairs` and the link bucket items are sized once, on
+    /// their first fill, to the topology's
+    /// [`link_capacity`](Topology::link_capacity): it bounds the
+    /// intra-cluster link count, and rows pre-sized to twice the expected
+    /// degree put it at about twice the expected link count.
+    fn fill(&mut self, heads: &[NodeId], topology: &Topology, pairs: &mut Vec<(NodeId, NodeId)>) {
+        for buf in [&mut *pairs, &mut self.links.items] {
+            buf.clear();
+            if buf.capacity() == 0 {
+                buf.reserve_exact(topology.link_capacity());
+            }
+        }
+        for (a, &ha) in heads.iter().enumerate() {
+            let a = a as NodeId;
+            for &b in topology.neighbors(a) {
+                if b > a && heads[b as usize] == ha {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        let ids = heads
+            .iter()
+            .fold(heads.len(), |m, &h| m.max(h as usize + 1));
+        let head = |u: NodeId| heads[u as usize];
+        self.nodes.refill(0..heads.len() as NodeId, head, ids);
+        self.links
+            .refill(pairs.iter().copied(), |(a, _)| head(a), ids);
+    }
 }
 
 /// When update rounds are transmitted.
@@ -87,23 +186,35 @@ pub enum UpdatePolicy {
 ///
 /// Call [`IntraClusterRouting::update`] once per tick after cluster
 /// maintenance; it diffs each cluster's internal topology against the
-/// previous tick and charges ROUTE broadcast rounds per [`UpdatePolicy`]. The first call fills the baseline and
-/// charges nothing (the paper excludes initial table population along with
-/// cluster formation).
+/// previous tick and charges ROUTE broadcast rounds per [`UpdatePolicy`].
+/// The first call fills the baseline and charges nothing (the paper
+/// excludes initial table population along with cluster formation).
+///
+/// The two ticks' topologies are double-buffered CSR snapshots (see the
+/// module docs), and the per-head bookkeeping — coalescing dirty flags,
+/// pending re-syncs, the pass's charges — lives in flat per-head-id
+/// buffers. All of them keep their capacity across passes, so a
+/// steady-state update performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct IntraClusterRouting {
-    prev: BTreeMap<NodeId, ClusterSnapshot>,
+    prev: Snapshot,
+    current: Snapshot,
+    /// The tick's `cluster_head_of(u)` for every node, read once.
+    heads: Vec<NodeId>,
+    /// The tick's intra-cluster links in id order, before bucketing.
+    pairs: Vec<(NodeId, NodeId)>,
+    /// This pass's `(head, rounds, cluster size)` charges.
+    charges: Vec<(NodeId, u64, u64)>,
     initialized: bool,
     policy: UpdatePolicy,
-    dirty: std::collections::BTreeSet<NodeId>,
+    /// Per head id: changed since the last coalesced flush.
+    dirty: Vec<bool>,
     accum: f64,
-    /// Clusters whose last lossy round dropped at least one ROUTE message;
-    /// they re-broadcast a full round on the next pass (fallback re-sync).
-    resync_pending: std::collections::BTreeSet<NodeId>,
-    /// The `ChannelLoss` cause that scheduled each pending re-sync, so the
-    /// re-sync round is attributed to the loss that forced it (only
-    /// populated when a cause tracker is attached).
-    resync_cause: BTreeMap<NodeId, Cause>,
+    /// Per head id, `Some(cause)` while the cluster's last round has lost
+    /// a ROUTE message, so it re-broadcasts a full round on the next pass
+    /// (fallback re-sync); `cause` is the `ChannelLoss` root that
+    /// scheduled it (`None` without a cause tracker).
+    resync: Vec<Option<Option<Cause>>>,
 }
 
 impl IntraClusterRouting {
@@ -140,35 +251,6 @@ impl IntraClusterRouting {
         })
     }
 
-    /// Computes the per-cluster internal topology snapshots.
-    fn snapshot<C: ClusterAssignment + ?Sized>(
-        topology: &Topology,
-        clustering: &C,
-    ) -> BTreeMap<NodeId, ClusterSnapshot> {
-        let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
-        for u in 0..topology.len() as NodeId {
-            let head = clustering.cluster_head_of(u);
-            map.entry(head)
-                .or_insert_with(|| ClusterSnapshot {
-                    nodes: Vec::new(),
-                    links: Vec::new(),
-                })
-                .nodes
-                .push(u);
-        }
-        for (a, b) in topology.links() {
-            if clustering.cluster_head_of(a) == clustering.cluster_head_of(b) {
-                map.get_mut(&clustering.cluster_head_of(a))
-                    .expect("cluster exists for its own member")
-                    .links
-                    .push((a, b));
-            }
-        }
-        // `nodes` and `links` are already produced in ascending order by the
-        // scans above, which makes snapshots directly comparable.
-        map
-    }
-
     /// Diffs the cluster-internal topologies against the previous tick and
     /// returns the ROUTE traffic charged.
     ///
@@ -196,96 +278,18 @@ impl IntraClusterRouting {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
-        let current = Self::snapshot(topology, clustering);
-        self.charge(dt, current, channel, ctx)
-    }
+        self.heads.clear();
+        self.heads
+            .extend((0..topology.len() as NodeId).map(|u| clustering.cluster_head_of(u)));
+        self.current.fill(&self.heads, topology, &mut self.pairs);
+        let head_ids = self.current.head_ids();
+        if self.resync.len() < head_ids {
+            self.resync.resize(head_ids, None);
+        }
+        if self.dirty.len() < head_ids {
+            self.dirty.resize(head_ids, false);
+        }
 
-    /// [`IntraClusterRouting::update`] with a scoped worker pool
-    /// (DESIGN.md §17): the intra-cluster link classification — the
-    /// `O(links)` part of the snapshot — fans out per owner frame; the
-    /// head lookup, snapshot assembly, and every channel draw and
-    /// emission stay sequential. Bit-identical to `update` for every
-    /// frame layout and worker count (falls back to the sequential
-    /// snapshot when the scope's frames do not cover the node set).
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_scoped<C: ClusterAssignment + ?Sized>(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clustering: &C,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        let current = Self::snapshot_scoped(topology, clustering, scope);
-        self.charge(dt, current, channel, ctx)
-    }
-
-    /// [`snapshot`](Self::snapshot) with the link classification fanned
-    /// out per owner frame. `ClusterAssignment` is a trait object with no
-    /// `Sync` bound, so the per-node head lookup runs sequentially into a
-    /// plain vector first; the workers then scan their frames' sorted
-    /// neighbor rows against that vector — pure reads. The merged link
-    /// list is re-sorted (frames are spatial tiles, not id ranges), which
-    /// reproduces the global `topology.links()` order exactly.
-    fn snapshot_scoped<C: ClusterAssignment + ?Sized>(
-        topology: &Topology,
-        clustering: &C,
-        scope: &mut StageScope<'_>,
-    ) -> BTreeMap<NodeId, ClusterSnapshot> {
-        let n = topology.len();
-        if scope.frames().len() != n {
-            return Self::snapshot(topology, clustering);
-        }
-        let heads: Vec<NodeId> = (0..n as NodeId)
-            .map(|u| clustering.cluster_head_of(u))
-            .collect();
-        let mut frame_links: Vec<Vec<(NodeId, NodeId, NodeId)>> =
-            vec![Vec::new(); scope.frames().frame_count()];
-        {
-            let heads = &heads;
-            scope.map_frames(&mut frame_links, |_, ids, out| {
-                for &a in ids {
-                    let ha = heads[a as usize];
-                    for &b in topology.neighbors(a) {
-                        if b > a && heads[b as usize] == ha {
-                            out.push((ha, a, b));
-                        }
-                    }
-                }
-            });
-        }
-        let mut links: Vec<(NodeId, NodeId, NodeId)> = frame_links.into_iter().flatten().collect();
-        links.sort_unstable();
-        let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
-        for (u, &head) in heads.iter().enumerate() {
-            map.entry(head)
-                .or_insert_with(|| ClusterSnapshot {
-                    nodes: Vec::new(),
-                    links: Vec::new(),
-                })
-                .nodes
-                .push(u as NodeId);
-        }
-        for (head, a, b) in links {
-            map.get_mut(&head)
-                .expect("cluster exists for its own member")
-                .links
-                .push((a, b));
-        }
-        map
-    }
-
-    /// The charging half of an update pass: diffs `current` against the
-    /// previous tick, transmits, and commits. Sequential — every channel
-    /// draw and emission happens here in deterministic order.
-    fn charge(
-        &mut self,
-        dt: f64,
-        current: BTreeMap<NodeId, ClusterSnapshot>,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-    ) -> RouteUpdateOutcome {
         let now = ctx.now;
         let probe = &mut *ctx.probe;
         let mut outcome = RouteUpdateOutcome::default();
@@ -293,16 +297,18 @@ impl IntraClusterRouting {
         // the re-syncs those drops schedule); allocated on first loss.
         let mut loss_cause: Option<Cause> = None;
         // Fallback re-sync rounds for clusters whose previous pass lost
-        // messages. A dissolved cluster (its head no longer leads one) is
-        // dropped: the membership change itself triggers regular rounds in
-        // whatever clusters absorbed its nodes.
-        for head in std::mem::take(&mut self.resync_pending) {
-            let stored = self.resync_cause.remove(&head);
-            let Some(snap) = current.get(&head) else {
+        // messages, in head order. A dissolved cluster (its head no longer
+        // leads one) is dropped: the membership change itself triggers
+        // regular rounds in whatever clusters absorbed its nodes.
+        for (head, pending) in self.resync.iter_mut().enumerate() {
+            let Some(stored) = pending.take() else {
                 continue;
             };
+            let m = self.current.nodes.bucket(head).len() as u64;
+            if m == 0 {
+                continue;
+            }
             let cause = stored.or_else(|| probe.root(RootCause::ChannelLoss));
-            let m = snap.nodes.len() as u64;
             outcome.resync_rounds += 1;
             outcome.resync_messages += m;
             outcome.route_entries += m * m;
@@ -310,30 +316,19 @@ impl IntraClusterRouting {
                 now,
                 Layer::Routing,
                 EventKind::RouteRoundStarted {
-                    head,
+                    head: head as NodeId,
                     size: m,
                     rounds: 1,
                 },
                 cause,
             );
-            let mut clean = true;
-            for _ in 0..m {
-                if !channel.deliver() {
-                    outcome.lost_messages += 1;
-                    clean = false;
-                }
-            }
-            if !clean {
-                if loss_cause.is_none() {
-                    loss_cause = probe.root(RootCause::ChannelLoss);
-                }
-                self.resync_pending.insert(head);
-                if let Some(c) = loss_cause {
-                    self.resync_cause.insert(head, c);
-                }
+            if transmit(channel, m, &mut outcome) {
+                loss_cause = loss_cause.or_else(|| probe.root(RootCause::ChannelLoss));
+                *pending = Some(loss_cause);
             }
         }
-        for (head, rounds, m) in self.compute_charges(dt, &current) {
+        self.compute_charges(dt);
+        for &(head, rounds, m) in &self.charges {
             outcome.clusters_updated += 1;
             outcome.update_rounds += rounds;
             outcome.route_messages += rounds * m;
@@ -349,21 +344,9 @@ impl IntraClusterRouting {
                 },
                 cause,
             );
-            let mut clean = true;
-            for _ in 0..rounds * m {
-                if !channel.deliver() {
-                    outcome.lost_messages += 1;
-                    clean = false;
-                }
-            }
-            if !clean {
-                if loss_cause.is_none() {
-                    loss_cause = probe.root(RootCause::ChannelLoss);
-                }
-                self.resync_pending.insert(head);
-                if let Some(c) = loss_cause {
-                    self.resync_cause.insert(head, c);
-                }
+            if transmit(channel, rounds * m, &mut outcome) {
+                loss_cause = loss_cause.or_else(|| probe.root(RootCause::ChannelLoss));
+                self.resync[head as usize] = Some(loss_cause);
             }
         }
         if outcome.lost_messages > 0 {
@@ -377,74 +360,87 @@ impl IntraClusterRouting {
                 loss_cause,
             );
         }
-        self.prev = current;
+        std::mem::swap(&mut self.prev, &mut self.current);
         self.initialized = true;
         outcome
     }
 
     /// Clusters currently awaiting a fallback re-sync round.
     pub fn resync_backlog(&self) -> usize {
-        self.resync_pending.len()
+        self.resync
+            .iter()
+            .filter(|pending| pending.is_some())
+            .count()
     }
 
-    /// Computes this pass's charges as `(head, rounds, cluster size)`
-    /// triples, per the active [`UpdatePolicy`]. Advances the coalescing
-    /// clock/dirty set; the caller commits `current` to `self.prev`.
-    fn compute_charges(
-        &mut self,
-        dt: f64,
-        current: &BTreeMap<NodeId, ClusterSnapshot>,
-    ) -> Vec<(NodeId, u64, u64)> {
-        let mut charges = Vec::new();
+    /// Fills `self.charges` with this pass's `(head, rounds, cluster
+    /// size)` triples in ascending head order, per the active
+    /// [`UpdatePolicy`]. Advances the coalescing clock and dirty flags.
+    fn compute_charges(&mut self, dt: f64) {
+        self.charges.clear();
+        self.charges.reserve(self.current.head_ids());
         if !self.initialized {
-            return charges;
+            return;
         }
+        let (prev, current) = (&self.prev, &self.current);
         match self.policy {
             UpdatePolicy::PerChange => {
-                for (head, snap) in current {
+                for head in 0..current.head_ids() {
+                    let (nodes, links) = current.cluster(head);
+                    if nodes.is_empty() {
+                        continue;
+                    }
                     // One broadcast round per intra-cluster link change. A
                     // persistent cluster is diffed link-by-link (symmetric
                     // difference of its sorted link lists); a cluster whose
                     // head is new this tick rebuilds its tables in one round.
-                    let rounds = match self.prev.get(head) {
-                        Some(prev) if prev == snap => 0,
-                        Some(prev) => {
-                            let link_changes =
-                                sorted_symmetric_difference_len(&prev.links, &snap.links);
-                            // Pure membership churn with no link change inside
-                            // the link set is impossible for joins (a joiner
-                            // brings its head link) but a leaver whose links
-                            // all broke is already counted; still guarantee at
-                            // least one round for any change.
-                            link_changes.max(1) as u64
-                        }
-                        None => 1,
+                    let (prev_nodes, prev_links) = prev.cluster(head);
+                    let rounds = if prev_nodes.is_empty() {
+                        1
+                    } else if (prev_nodes, prev_links) == (nodes, links) {
+                        0
+                    } else {
+                        // Pure membership churn with no link change inside
+                        // the link set is impossible for joins (a joiner
+                        // brings its head link) but a leaver whose links
+                        // all broke is already counted; still guarantee at
+                        // least one round for any change.
+                        sorted_symmetric_difference_len(prev_links, links).max(1) as u64
                     };
                     if rounds > 0 {
-                        charges.push((*head, rounds, snap.nodes.len() as u64));
+                        self.charges
+                            .push((head as NodeId, rounds, nodes.len() as u64));
                     }
                 }
             }
             UpdatePolicy::Coalesced { interval } => {
-                for (head, snap) in current {
-                    if self.prev.get(head) != Some(snap) {
-                        self.dirty.insert(*head);
+                for head in 0..current.head_ids() {
+                    let cluster = current.cluster(head);
+                    if !cluster.0.is_empty() && prev.cluster(head) != cluster {
+                        self.dirty[head] = true;
                     }
                 }
                 self.accum += dt;
                 while self.accum >= interval {
                     self.accum -= interval;
-                    let dirty = std::mem::take(&mut self.dirty);
-                    for head in dirty {
-                        if let Some(snap) = current.get(&head) {
-                            charges.push((head, 1, snap.nodes.len() as u64));
+                    for (head, dirty) in self.dirty.iter_mut().enumerate() {
+                        let m = current.nodes.bucket(head).len() as u64;
+                        if std::mem::take(dirty) && m > 0 {
+                            self.charges.push((head as NodeId, 1, m));
                         }
                     }
                 }
             }
         }
-        charges
     }
+}
+
+/// Draws `count` ROUTE deliveries on `channel`, adding the losses to
+/// `outcome`; returns whether any message was lost.
+fn transmit(channel: &mut Channel, count: u64, outcome: &mut RouteUpdateOutcome) -> bool {
+    let lost = (0..count).filter(|_| !channel.deliver()).count() as u64;
+    outcome.lost_messages += lost;
+    lost > 0
 }
 
 /// Number of elements in exactly one of two sorted slices (symmetric
@@ -553,15 +549,40 @@ impl IntraTables {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use manet_cluster::{Clustering, LowestId};
     use manet_geom::{Metric, SquareRegion, Vec2};
-    use manet_sim::{LossModel, QuietCtx, Scratch};
-    use manet_telemetry::Probe;
+    use manet_sim::{FaultPlan, LossModel, QuietCtx, Scratch, STREAM_ROUTE};
+    use manet_telemetry::{CauseTracker, Event, Probe, Subscriber};
 
-    fn ideal() -> Channel {
+    pub(super) fn ideal() -> Channel {
         Channel::new(LossModel::Ideal, 0)
+    }
+
+    /// A channel that loses every message.
+    pub(super) fn black_hole() -> Channel {
+        lossy(1.0)
+    }
+
+    pub(super) fn lossy(p: f64) -> Channel {
+        FaultPlan {
+            loss: LossModel::Bernoulli { p },
+            ..FaultPlan::ideal()
+        }
+        .channel(STREAM_ROUTE)
+    }
+
+    #[derive(Default)]
+    struct Collect(Vec<Event>);
+
+    impl Subscriber for Collect {
+        fn event(&mut self, event: &Event) {
+            self.0.push(*event);
+        }
     }
 
     /// One quiet update pass over an ideal channel.
@@ -583,12 +604,40 @@ mod tests {
         r.update(0.0, t, c, channel, &mut QuietCtx::new().ctx())
     }
 
+    /// One update pass over `channel`, reported through `probe` at `now`.
+    fn up_probed(
+        r: &mut IntraClusterRouting,
+        t: &Topology,
+        c: &Clustering<LowestId>,
+        channel: &mut Channel,
+        probe: &mut Probe<'_>,
+        now: f64,
+    ) -> RouteUpdateOutcome {
+        let mut scratch = Scratch::new();
+        r.update(
+            0.0,
+            t,
+            c,
+            channel,
+            &mut StepCtx::new(probe, &mut scratch).at(now),
+        )
+    }
+
+    /// The first event matching `pred`.
+    fn first(sink: &Collect, pred: impl Fn(&EventKind) -> bool) -> Event {
+        *sink
+            .0
+            .iter()
+            .find(|e| pred(&e.kind))
+            .expect("event emitted")
+    }
+
     /// One quiet maintenance pass.
-    fn m(c: &mut Clustering<LowestId>, t: &Topology) {
+    pub(super) fn m(c: &mut Clustering<LowestId>, t: &Topology) {
         c.maintain(t, &mut QuietCtx::new().ctx());
     }
 
-    fn topo(positions: &[(f64, f64)], radius: f64) -> Topology {
+    pub(super) fn topo(positions: &[(f64, f64)], radius: f64) -> Topology {
         let pts: Vec<Vec2> = positions.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
         Topology::compute(&pts, SquareRegion::new(1000.0), radius, Metric::Euclidean)
     }
@@ -800,17 +849,12 @@ mod tests {
 
     #[test]
     fn lost_round_triggers_fallback_resync_until_clean() {
-        use manet_sim::{FaultPlan, LossModel};
         // Stable 3-node cluster; one internal link change, then stability.
         let t0 = topo(&[(0.0, 10.0), (0.9, 10.3), (0.9, 9.7)], 1.0);
         let c = Clustering::form(LowestId, &t0);
         let mut r = IntraClusterRouting::new();
         // Everything is lost: each pass re-marks the cluster.
-        let mut black_hole = FaultPlan {
-            loss: LossModel::Bernoulli { p: 1.0 },
-            ..FaultPlan::ideal()
-        }
-        .channel(manet_sim::STREAM_ROUTE);
+        let mut black_hole = black_hole();
         up_on(&mut r, &t0, &c, &mut black_hole);
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
         let o = up_on(&mut r, &t1, &c, &mut black_hole);
@@ -829,7 +873,7 @@ mod tests {
         assert_eq!(o.lost_messages, 3);
         assert_eq!(r.resync_backlog(), 1);
         // Channel heals: one clean re-sync round clears the backlog.
-        let mut clean = FaultPlan::ideal().channel(manet_sim::STREAM_ROUTE);
+        let mut clean = FaultPlan::ideal().channel(STREAM_ROUTE);
         let o = up_on(&mut r, &t1, &c, &mut clean);
         assert_eq!(o.resync_rounds, 1);
         assert_eq!(o.resync_messages, 3);
@@ -877,16 +921,6 @@ mod tests {
 
     #[test]
     fn traced_update_emits_one_round_event_per_charged_cluster() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
-
         // Cluster {0:head, 1, 2}; node 2 walks away and self-promotes.
         let t0 = topo(&[(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)], 1.2);
         let mut c = Clustering::form(LowestId, &t0);
@@ -895,14 +929,13 @@ mod tests {
         let t1 = topo(&[(0.0, 0.0), (1.0, 0.0), (500.0, 500.0)], 1.2);
         m(&mut c, &t1);
         let mut sink = Collect::default();
-        let mut probe = Probe::subscriber(&mut sink);
-        let mut scratch = Scratch::new();
-        let o = r.update(
-            0.0,
+        let o = up_probed(
+            &mut r,
             &t1,
             &c,
             &mut ideal(),
-            &mut StepCtx::new(&mut probe, &mut scratch).at(3.5),
+            &mut Probe::subscriber(&mut sink),
+            3.5,
         );
         assert_eq!(o.clusters_updated, 2);
         assert_eq!(sink.0.len(), 2, "one RouteRoundStarted per charged cluster");
@@ -927,37 +960,15 @@ mod tests {
 
     #[test]
     fn traced_lossy_update_emits_resync_rounds_and_losses() {
-        use manet_sim::{FaultPlan, LossModel};
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
-
         let t0 = topo(&[(0.0, 10.0), (0.9, 10.3), (0.9, 9.7)], 1.0);
         let c = Clustering::form(LowestId, &t0);
         let mut r = IntraClusterRouting::new();
-        let mut black_hole = FaultPlan {
-            loss: LossModel::Bernoulli { p: 1.0 },
-            ..FaultPlan::ideal()
-        }
-        .channel(manet_sim::STREAM_ROUTE);
+        let mut black_hole = black_hole();
         up_on(&mut r, &t0, &c, &mut black_hole);
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
         let mut sink = Collect::default();
         let mut probe = Probe::subscriber(&mut sink);
-        let mut scratch = Scratch::new();
-        let o = r.update(
-            0.0,
-            &t1,
-            &c,
-            &mut black_hole,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
-        );
+        let o = up_probed(&mut r, &t1, &c, &mut black_hole, &mut probe, 1.0);
         assert_eq!(o.lost_messages, 3);
         // One charged round plus one batched loss event.
         assert!(sink.0.iter().any(|e| matches!(
@@ -976,13 +987,7 @@ mod tests {
         // Next pass: the pure re-sync round is also a RouteRoundStarted.
         let mut sink2 = Collect::default();
         let mut probe2 = Probe::subscriber(&mut sink2);
-        let o = r.update(
-            0.0,
-            &t1,
-            &c,
-            &mut black_hole,
-            &mut StepCtx::new(&mut probe2, &mut scratch).at(2.0),
-        );
+        let o = up_probed(&mut r, &t1, &c, &mut black_hole, &mut probe2, 2.0);
         assert_eq!(o.resync_rounds, 1);
         assert_eq!(
             sink2
@@ -996,81 +1001,30 @@ mod tests {
 
     #[test]
     fn attributed_updates_chain_resyncs_to_the_loss_that_forced_them() {
-        use manet_sim::{FaultPlan, LossModel};
-        use manet_telemetry::{CauseTracker, Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
-
         let t0 = topo(&[(0.0, 10.0), (0.9, 10.3), (0.9, 9.7)], 1.0);
         let c = Clustering::form(LowestId, &t0);
         let mut r = IntraClusterRouting::new();
-        let mut black_hole = FaultPlan {
-            loss: LossModel::Bernoulli { p: 1.0 },
-            ..FaultPlan::ideal()
-        }
-        .channel(manet_sim::STREAM_ROUTE);
+        let mut black_hole = black_hole();
         let mut tracker = CauseTracker::new();
-        let mut scratch = Scratch::new();
-        {
-            let mut probe = Probe::with_causes(None, None, Some(&mut tracker));
-            r.update(
-                0.0,
-                &t0,
-                &c,
-                &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(0.0),
-            );
-        }
+        let mut probe = Probe::with_causes(None, None, Some(&mut tracker));
+        up_probed(&mut r, &t0, &c, &mut black_hole, &mut probe, 0.0);
         // An internal link change: the regular round carries a fresh
         // IntraClusterChange root; its losses carry a ChannelLoss root.
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
         let mut sink = Collect::default();
-        {
-            let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
-            r.update(
-                0.0,
-                &t1,
-                &c,
-                &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
-            );
-        }
-        let round = sink
-            .0
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
-            .expect("regular round emitted");
+        let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+        up_probed(&mut r, &t1, &c, &mut black_hole, &mut probe, 1.0);
+        let round = first(&sink, |k| matches!(k, EventKind::RouteRoundStarted { .. }));
         assert_eq!(round.cause.unwrap().root, RootCause::IntraClusterChange);
-        let lost = sink
-            .0
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::MsgLost { .. }))
-            .expect("loss emitted");
-        let loss_root = lost.cause.unwrap();
+        let loss_root = first(&sink, |k| matches!(k, EventKind::MsgLost { .. }))
+            .cause
+            .unwrap();
         assert_eq!(loss_root.root, RootCause::ChannelLoss);
         // Next pass: the pure re-sync round is attributed to that loss.
         let mut sink2 = Collect::default();
-        {
-            let mut probe = Probe::with_causes(Some(&mut sink2), None, Some(&mut tracker));
-            r.update(
-                0.0,
-                &t1,
-                &c,
-                &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(2.0),
-            );
-        }
-        let resync = sink2
-            .0
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
-            .expect("re-sync round emitted");
+        let mut probe = Probe::with_causes(Some(&mut sink2), None, Some(&mut tracker));
+        up_probed(&mut r, &t1, &c, &mut black_hole, &mut probe, 2.0);
+        let resync = first(&sink2, |k| matches!(k, EventKind::RouteRoundStarted { .. }));
         assert_eq!(resync.cause.unwrap().id, loss_root.id);
     }
 

@@ -46,16 +46,14 @@
 
 use crate::grid::FrameGrid;
 use crate::interconnect::{Interconnect, InterconnectConfig};
-use manet_cluster::ClusterAssignment;
 use manet_geom::grid::BAND_REL;
 use manet_geom::{Metric, ShardDims, ShardLayout, ShardLayoutError, SquareRegion, Vec2};
 use manet_mobility::{Mobility, StepPlan};
-use manet_routing::intra::RouteUpdateOutcome;
 use manet_sim::{
     Channel, FaultError, FramePartition, FrameTiming, HelloProtocol, MobilityStage, NodeId,
     StageScope, StepCtx, Topology, TopologyBuilder, World,
 };
-use manet_stack::{ClusterFlow, ClusterLayer, ClusterStage, HelloStage, RouteLayer, RouteStage};
+use manet_stack::{ClusterFlow, ClusterLayer, ClusterStage, HelloStage, RouteStage};
 use manet_telemetry::{Phase, Probe, ShardGaugeRow, ShardSnapshot, SpanLabel};
 use manet_util::Rng;
 use std::time::{Duration, Instant};
@@ -642,22 +640,10 @@ impl ClusterStage for ShardPlane {
     }
 }
 
-impl RouteStage for ShardPlane {
-    fn route(
-        &mut self,
-        layer: &mut dyn RouteLayer,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-    ) -> RouteUpdateOutcome {
-        let mut scope = self.stage_scope();
-        let route = layer.update_scoped(dt, topology, clusters, channel, ctx, &mut scope);
-        self.fold_stage_spans(SpanLabel::ShardRoute, ctx.probe);
-        route
-    }
-}
+// The route diff runs whole, through the stage's default: its snapshot is
+// one linear CSR pass, cheaper than a per-frame fan-out and re-merge
+// (DESIGN.md §17).
+impl RouteStage for ShardPlane {}
 
 /// First ghost image of `p` landing in `shard`, if any (the frame-local
 /// placement a retaining owner uses).

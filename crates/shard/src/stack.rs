@@ -5,11 +5,12 @@
 //! runs the same canonical stage order
 //! (Mobility → Topology → HELLO → Cluster → Route → Telemetry), with the
 //! plane supplying every stage strategy (`StackStages`): plan/apply
-//! mobility, the ghost-margin sharded topology rebuild, and frame-scoped
-//! HELLO/Cluster/Route passes over the plane's ownership partition. The
-//! stack inherits the monolithic stack's counters, reports, and traces
-//! bit-for-bit — the golden-parity tests in the workspace root pin this —
-//! while every stage's pure scan work fans out across the worker pool.
+//! mobility, the ghost-margin sharded topology rebuild, frame-scoped
+//! HELLO/Cluster passes over the plane's ownership partition, and the
+//! route diff run whole. The stack inherits the monolithic stack's
+//! counters, reports, and traces bit-for-bit — the golden-parity tests in
+//! the workspace root pin this — while the scoped stages' pure scan work
+//! fans out across the worker pool.
 
 use crate::interconnect::InterconnectConfig;
 use crate::plane::{ShardPlane, ShardReport};
@@ -90,8 +91,8 @@ impl<C: ClusterLayer, R: RouteLayer> ShardedStack<C, R> {
     }
 
     /// Advances the stack by one tick, every stage on the shard plane:
-    /// plan/apply mobility, sharded topology, and frame-scoped
-    /// HELLO/Cluster/Route passes.
+    /// plan/apply mobility, sharded topology, frame-scoped HELLO/Cluster
+    /// passes and the route diff.
     pub fn tick(&mut self, ctx: &mut StepCtx<'_, '_>) -> StackReport {
         self.stack.tick_staged(ctx, &mut self.plane)
     }

@@ -200,6 +200,12 @@ impl Topology {
         self.neighbors.iter().map(Vec::len).sum::<usize>() / 2
     }
 
+    /// Links the rows can hold without reallocating: half the summed row
+    /// capacity. Bounds [`link_count`](Self::link_count) until a row grows.
+    pub fn link_capacity(&self) -> usize {
+        self.neighbors.iter().map(Vec::capacity).sum::<usize>() / 2
+    }
+
     /// Iterates all links as `(a, b)` pairs with `a < b`.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.neighbors.iter().enumerate().flat_map(|(i, ns)| {
@@ -463,6 +469,22 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.mean_degree(), 0.0);
         assert_eq!(t.link_count(), 0);
+        assert_eq!(t.link_capacity(), 0);
+    }
+
+    #[test]
+    fn link_capacity_bounds_link_count_and_is_kept_on_recompute() {
+        let region = SquareRegion::new(50.0);
+        let mut rng = Rng::seed_from_u64(2);
+        let positions: Vec<Vec2> = (0..60).map(|_| region.sample_uniform(&mut rng)).collect();
+        let mut topo = Topology::compute(&positions, region, 10.0, Metric::Euclidean);
+        let cap = topo.link_capacity();
+        assert!(cap >= topo.link_count(), "{cap} < {}", topo.link_count());
+        // Fewer links into the same rows: the capacity stays.
+        let grid = SpatialGrid::build(&positions, region, 5.0, Metric::Euclidean);
+        topo.compute_into(&grid);
+        assert!(topo.link_count() <= cap);
+        assert_eq!(topo.link_capacity(), cap);
     }
 }
 

@@ -301,23 +301,6 @@ pub trait RouteLayer {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome;
-
-    /// [`RouteLayer::update`] with a scoped worker pool for layers whose
-    /// snapshot scans can fan out per owner frame (DESIGN.md §17). The
-    /// default ignores the scope and stays sequential.
-    #[allow(clippy::too_many_arguments)]
-    fn update_scoped(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        let _ = scope;
-        self.update(dt, topology, clusters, channel, ctx) // stage-exempt: monolithic default
-    }
 }
 
 impl RouteLayer for IntraClusterRouting {
@@ -330,18 +313,6 @@ impl RouteLayer for IntraClusterRouting {
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
         IntraClusterRouting::update(self, dt, topology, clusters, channel, ctx)
-    }
-
-    fn update_scoped(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        IntraClusterRouting::update_scoped(self, dt, topology, clusters, channel, ctx, scope)
     }
 }
 

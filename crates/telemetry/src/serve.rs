@@ -161,7 +161,14 @@ pub struct Publisher {
 impl Publisher {
     /// Swaps in a freshly rendered snapshot.
     pub fn publish(&self, snapshot: TelemetrySnapshot) {
-        let mut cell = self.shared.snapshot.lock().expect("snapshot lock");
+        // A poisoned lock still holds a whole snapshot pair (the swap is
+        // one assignment), so a panicking publisher elsewhere must not
+        // take publishing or serving down with it.
+        let mut cell = self
+            .shared
+            .snapshot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         *cell = (Arc::new(snapshot), Some(Instant::now()));
     }
 
@@ -283,7 +290,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut reader = BufReader::new(stream);
     let request = read_request(&mut reader)?;
     let (snapshot, published_at) = {
-        let cell = shared.snapshot.lock().expect("snapshot lock");
+        let cell = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
         (Arc::clone(&cell.0), cell.1)
     };
     let (status, body) = match request.path.as_str() {
@@ -448,6 +455,30 @@ mod tests {
         // A truncated body is a transport error, not InvalidData.
         let raw = "POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         assert!(read_request(&mut io::Cursor::new(raw)).is_err());
+    }
+
+    #[test]
+    fn a_poisoned_snapshot_lock_still_publishes_and_serves() {
+        let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+        let publisher = server.publisher();
+        let shared = Arc::clone(&publisher.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _cell = shared.snapshot.lock().unwrap();
+            panic!("publisher panics while holding the snapshot lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(publisher.shared.snapshot.is_poisoned());
+
+        publisher.publish(TelemetrySnapshot {
+            metrics: "manet_ticks_total 7\n".into(),
+            tick: 7,
+            ..TelemetrySnapshot::default()
+        });
+        let (status, body) = get(server.local_addr(), "/metrics");
+        assert!(status.contains("200"), "{status}");
+        assert!(body.contains("manet_ticks_total 7"), "{body}");
+        let (_, body) = get(server.local_addr(), "/health");
+        assert!(body.contains("tick 7"), "{body}");
     }
 
     #[test]

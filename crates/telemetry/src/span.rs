@@ -59,15 +59,12 @@ pub enum SpanLabel {
     /// One owner frame's cluster-maintenance scan inside the cluster
     /// stage (carries the frame/shard index).
     ShardCluster,
-    /// One owner frame's route-snapshot scan inside the routing stage
-    /// (carries the frame/shard index).
-    ShardRoute,
 }
 
 impl SpanLabel {
     /// All labels, in hierarchy order. `Stage` appears once per
     /// [`Phase::ALL`] entry.
-    pub const ALL: [SpanLabel; 14] = [
+    pub const ALL: [SpanLabel; 13] = [
         SpanLabel::Tick,
         SpanLabel::Stage(Phase::Mobility),
         SpanLabel::Stage(Phase::Topology),
@@ -81,11 +78,10 @@ impl SpanLabel {
         SpanLabel::IcDeliver,
         SpanLabel::ShardHello,
         SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
     ];
 
     /// Number of distinct labels (dense-index domain size).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 
     /// Dense index into per-label storage.
     fn index(self) -> usize {
@@ -97,7 +93,6 @@ impl SpanLabel {
             SpanLabel::IcDeliver => 10,
             SpanLabel::ShardHello => 11,
             SpanLabel::ShardCluster => 12,
-            SpanLabel::ShardRoute => 13,
         }
     }
 
@@ -112,7 +107,6 @@ impl SpanLabel {
             SpanLabel::IcDeliver => "ic_deliver",
             SpanLabel::ShardHello => "shard_hello",
             SpanLabel::ShardCluster => "shard_cluster",
-            SpanLabel::ShardRoute => "shard_route",
         }
     }
 }

@@ -58,6 +58,11 @@ echo "==> cargo test --workspace -q"
 # not just the root package's.
 cargo test --workspace -q
 
+echo "==> perfbench tests (unit tests, BENCHMARK.json pin, self-check)"
+# perfbench is its own workspace that builds against the stage traits and
+# layer APIs; a change there must not break the benchmark's build silently.
+CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke (trace_report --smoke)"
 cargo run -q --release -p manet-experiments --bin trace_report -- --smoke
 

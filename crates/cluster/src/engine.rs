@@ -146,6 +146,25 @@ pub struct Clustering<P> {
     roles: Vec<Role>,
     /// Per-pass orphan bookkeeping, kept so maintenance does not allocate.
     orphans: Orphans,
+    /// Per-pass scan buffers of the scoped pass, kept for the same reason.
+    scans: ScopedScans,
+}
+
+/// One frame's scan: broken affiliations (`true` marks a broken
+/// member↔head link, `false` a recorded head that quietly stopped being
+/// one) and adjacent head pairs.
+type FrameScan = (Vec<(NodeId, NodeId, bool)>, Vec<(NodeId, NodeId)>);
+
+/// The buffers of [`Clustering::maintain_scoped`], cleared (not
+/// reallocated) every pass.
+#[derive(Debug, Clone, Default)]
+struct ScopedScans {
+    /// One scan per owner frame.
+    frames: Vec<FrameScan>,
+    /// The frames' broken affiliations, merged and sorted.
+    broken: Vec<(NodeId, NodeId, bool)>,
+    /// The frames' adjacent head pairs, merged and sorted.
+    contacts: Vec<(NodeId, NodeId)>,
 }
 
 /// Per-node orphan state of one maintenance pass, reset (not reallocated)
@@ -247,6 +266,7 @@ impl<P: ClusterPolicy> Clustering<P> {
             policy,
             roles,
             orphans: Orphans::default(),
+            scans: ScopedScans::default(),
         }
     }
 
@@ -565,14 +585,25 @@ impl<P: ClusterPolicy> Clustering<P> {
         let n = self.roles.len();
 
         // Parallel scan: pure reads of roles + topology, no RNG, no
-        // telemetry, no writes. `true` marks a broken member↔head link,
-        // `false` a recorded head that quietly stopped being one.
-        type FrameScan = (Vec<(NodeId, NodeId, bool)>, Vec<(NodeId, NodeId)>);
-        let mut scans: Vec<FrameScan> =
-            vec![(Vec::new(), Vec::new()); scope.frames().frame_count()];
+        // telemetry, no writes.
+        let mut scans = std::mem::take(&mut self.scans);
+        let ScopedScans {
+            frames,
+            broken,
+            contacts,
+        } = &mut scans;
+        frames.resize_with(scope.frames().frame_count(), FrameScan::default);
         {
             let roles = &self.roles;
-            scope.map_frames(&mut scans, |_, ids, (broken, pairs)| {
+            scope.map_frames(frames, |_, ids, (broken, pairs)| {
+                broken.clear();
+                pairs.clear();
+                // Each node adds at most one broken entry. The head
+                // pairs have no such bound: the frame size is only a
+                // warm-up size, and a tick that outgrows it reallocates
+                // once and keeps the larger buffer.
+                broken.reserve(ids.len());
+                pairs.reserve(ids.len());
                 for &u in ids {
                     match roles[u as usize] {
                         Role::Member { head } => {
@@ -593,9 +624,11 @@ impl<P: ClusterPolicy> Clustering<P> {
                 }
             });
         }
-        let mut broken: Vec<(NodeId, NodeId, bool)> = Vec::new();
-        let mut contacts: Vec<(NodeId, NodeId)> = Vec::new();
-        for (b, p) in &scans {
+        broken.clear();
+        broken.reserve(n); // the frames' entries, at most one per node
+        contacts.clear();
+        contacts.reserve(n); // a warm-up size, like the frames' `pairs`
+        for (b, p) in frames.iter() {
             broken.extend_from_slice(b);
             contacts.extend_from_slice(p);
         }
@@ -613,7 +646,7 @@ impl<P: ClusterPolicy> Clustering<P> {
         // Phase 1 commit: orphan the broken members, ascending id — the
         // aliveness gate runs here, on the sequential path, exactly where
         // the monolithic pass applies it.
-        for &(u, head, link_broke) in &broken {
+        for &(u, head, link_broke) in broken.iter() {
             if !ctx.is_alive(u) {
                 continue;
             }
@@ -646,7 +679,7 @@ impl<P: ClusterPolicy> Clustering<P> {
         // Pairs whose endpoints lost headship to an earlier resignation
         // are skipped; lost/deferred resignations stay adjacent heads and
         // retry next pass (the monolithic `unresolved` set).
-        for &(a, b) in &contacts {
+        for &(a, b) in contacts.iter() {
             if !(self.roles[a as usize].is_head() && self.roles[b as usize].is_head()) {
                 continue;
             }
@@ -774,6 +807,7 @@ impl<P: ClusterPolicy> Clustering<P> {
             }
         }
         self.orphans = orphans;
+        self.scans = scans;
 
         #[cfg(debug_assertions)]
         if outcome.lost_sends == 0

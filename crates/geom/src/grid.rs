@@ -1,32 +1,42 @@
 //! Uniform CSR cell grid for the per-tick unit-disk link set.
 //!
 //! The simulator recomputes every link within radius `r` each tick. The
-//! grid cuts the square into `k × k` cells wider than `r` (by a relative
-//! 1e-9, so rounding in the cell index cannot put a linked pair two cells
-//! apart). Every linked pair therefore lies in the same or an adjacent
-//! cell, and
-//! [`SpatialGrid::for_each_pair`] visits each such cell pair exactly once
-//! through a forward half-stencil (in-cell, then E, SW, S, SE). Each
-//! candidate pair is tested once, and the per-tick cost is `O(N·d)`.
+//! grid cuts its rectangle into `kx × ky` cells wider than `r` (by a
+//! relative 1e-9, so rounding in the cell index cannot put a linked pair
+//! two cells apart). Every linked pair therefore lies in the same or an
+//! adjacent cell, and [`SpatialGrid::for_each_pair`] visits each such
+//! cell pair exactly once through a forward half-stencil (in-cell, then
+//! E, SW, S, SE). Each candidate pair is tested once, and the per-tick
+//! cost is `O(N·d)`.
 //!
-//! **Layout.** [`SpatialGrid::rebuild`] is a counting sort. Per-cell
-//! counts become CSR offsets (`starts`), node ids are scattered grouped by
-//! cell, and positions are copied in the same cell order, so the scan
-//! walks contiguous memory. Every buffer is reused across ticks.
+//! **Two modes.** [`SpatialGrid::build`] indexes the deployment square
+//! under either [`Metric`]. [`SpatialGrid::frame`] indexes a rectangular,
+//! non-wrapping Euclidean frame `[0, w) × [0, h)` with its own cell count
+//! per axis: a shard's local frame, which already holds every image of
+//! every node it needs in plain coordinates. Both run the same scan.
+//!
+//! **Layout.** A rebuild is a counting sort. Per-cell counts become CSR
+//! offsets (`starts`), node ids are scattered grouped by cell, and
+//! positions are copied in the same cell order, so the scan walks
+//! contiguous memory and tests the distance before it looks up an id.
+//! Every buffer is reused across ticks.
 //!
 //! **Torus.** A neighbour cell across the seam is scanned through its
 //! periodic image: the scan shifts the pair by `±side` once per cell
 //! pair instead of folding every candidate into the minimum image. With
 //! at least three cells per axis that image is the unique one within
 //! `r`. A torus with fewer cells, where wrapped neighbour cells coincide,
-//! tests all pairs with [`Metric::within`].
+//! hands every pair to the band hook (below).
 //!
-//! **Bit-exactness.** The local (shifted) `d²` can differ from
-//! [`Metric::distance_sq`] in the last bits. A pair is decided on the
-//! local `d²` only when `|d² − r²| > r²·`[`BAND_REL`], far wider than that
-//! rounding. Inside the band it is re-decided with [`Metric::within`] on
-//! the unshifted positions. The link set is therefore exactly the one
-//! `Metric::within` defines over all pairs.
+//! **Bit-exactness and the band hook.** The local (shifted or
+//! frame-translated) `d²` can differ from the caller's reference distance
+//! in the last bits. [`SpatialGrid::for_each_pair_banded`] decides a pair
+//! on the local `d²` only when `|d² − r²| > r²·`[`BAND_REL`], far wider
+//! than that rounding, and leaves every pair inside the band to the
+//! caller's hook. [`SpatialGrid::for_each_pair`] passes
+//! [`Metric::within`] on the unshifted positions, so its link set is
+//! exactly the one `Metric::within` defines over all pairs; the shard
+//! plane passes the global metric on global positions.
 //!
 //! [`SpatialGrid::neighbors_within`] and [`SpatialGrid::nodes_near`]
 //! answer single-point queries over the same cells with
@@ -38,8 +48,8 @@ use crate::vec2::Vec2;
 use std::ops::Range;
 
 /// Relative width of the decision band around `r²` inside which a local
-/// (translated or image-shifted) squared distance defers to
-/// [`Metric::within`] on the original coordinates.
+/// (translated or image-shifted) squared distance defers to the caller's
+/// band hook.
 pub const BAND_REL: f64 = 1e-9;
 
 /// Cells are at least `r·(1 + CELL_SLACK)` wide, so rounding in the cell
@@ -55,7 +65,7 @@ const MAX_CELLS_PER_AXIS: usize = 4096;
 /// same-or-adjacent cell pair once.
 const STENCIL: [(isize, isize); 4] = [(1, 0), (-1, 1), (0, 1), (1, 1)];
 
-/// A uniform CSR cell grid over a [`SquareRegion`] holding node indices,
+/// A uniform CSR cell grid over a rectangle holding node indices,
 /// specialized for fixed-radius pair scans and neighbor queries.
 ///
 /// # Example
@@ -75,23 +85,28 @@ const STENCIL: [(isize, isize); 4] = [(1, 0), (-1, 1), (0, 1), (1, 1)];
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
-    region: SquareRegion,
     metric: Metric,
     radius: f64,
-    cells_per_axis: usize,
-    inv_cell: f64,
+    /// Width and height of the indexed rectangle `[0, w) × [0, h)`.
+    extent: Vec2,
+    /// Cells along x and along y.
+    kx: usize,
+    ky: usize,
+    /// Cells per unit length along each axis.
+    inv_cell: Vec2,
     /// CSR cell boundaries: cell `c` holds slots `starts[c]..starts[c + 1]`.
     starts: Vec<u32>,
     /// Node id at each slot (ids grouped by cell).
     ids: Vec<u32>,
     /// Position at each slot, in cell order (the input values, unshifted).
     pts: Vec<Vec2>,
-    /// Slot of each node id (its cell while `rebuild` counts).
+    /// Slot of each node id (its cell while a rebuild counts).
     slot: Vec<u32>,
 }
 
 impl SpatialGrid {
-    /// Builds a grid for querying neighbors within `radius`.
+    /// Builds a grid over the deployment square for querying neighbors
+    /// within `radius`.
     ///
     /// Positions must lie inside the region (wrap them first for a torus).
     ///
@@ -101,19 +116,38 @@ impl SpatialGrid {
     /// `u32::MAX` positions are given, or (debug builds) if a position lies
     /// outside the region.
     pub fn build(positions: &[Vec2], region: SquareRegion, radius: f64, metric: Metric) -> Self {
-        let mut grid = SpatialGrid {
-            region,
+        let mut grid = SpatialGrid::empty(metric);
+        grid.rebuild(positions, region, radius, metric);
+        grid
+    }
+
+    /// Builds a grid over the non-wrapping Euclidean frame `[0, w) × [0, h)`.
+    /// Positions slightly outside the frame (translation rounding) fall
+    /// into the nearest edge cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `w` and `h` are positive and finite, and under the
+    /// radius and population contract of [`SpatialGrid::build`].
+    pub fn frame(positions: &[Vec2], w: f64, h: f64, radius: f64) -> Self {
+        let mut grid = SpatialGrid::empty(Metric::Euclidean);
+        grid.rebuild_frame(positions, w, h, radius);
+        grid
+    }
+
+    fn empty(metric: Metric) -> Self {
+        SpatialGrid {
             metric,
-            radius,
-            cells_per_axis: 0,
-            inv_cell: 0.0,
+            radius: 0.0,
+            extent: Vec2::ZERO,
+            kx: 0,
+            ky: 0,
+            inv_cell: Vec2::ZERO,
             starts: Vec::new(),
             ids: Vec::new(),
             pts: Vec::new(),
             slot: Vec::new(),
-        };
-        grid.rebuild(positions, region, radius, metric);
-        grid
+        }
     }
 
     /// Re-indexes the grid in place for a new tick's positions, reusing
@@ -132,31 +166,57 @@ impl SpatialGrid {
         radius: f64,
         metric: Metric,
     ) {
+        debug_assert!(
+            positions.iter().all(|&p| region.contains(p)),
+            "position outside region"
+        );
+        let side = region.side();
+        self.index(positions, Vec2::new(side, side), radius, metric);
+    }
+
+    /// [`SpatialGrid::rebuild`] for a frame: equivalent to replacing `self`
+    /// with [`SpatialGrid::frame`] on the same arguments.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`SpatialGrid::frame`].
+    pub fn rebuild_frame(&mut self, positions: &[Vec2], w: f64, h: f64, radius: f64) {
+        assert!(
+            w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite(),
+            "frame extents must be positive finite"
+        );
+        self.index(positions, Vec2::new(w, h), radius, Metric::Euclidean);
+    }
+
+    /// The counting sort behind every rebuild (see the module docs).
+    fn index(&mut self, positions: &[Vec2], extent: Vec2, radius: f64, metric: Metric) {
         assert!(
             radius > 0.0 && radius.is_finite(),
             "radius must be positive and finite"
         );
         assert!(positions.len() <= u32::MAX as usize, "too many positions");
-        let side = region.side();
-        let k =
-            ((side / (radius * (1.0 + CELL_SLACK))).floor() as usize).clamp(1, MAX_CELLS_PER_AXIS);
-        self.region = region;
+        let cells = |len: f64| {
+            ((len / (radius * (1.0 + CELL_SLACK))).floor() as usize).clamp(1, MAX_CELLS_PER_AXIS)
+        };
+        let (kx, ky) = (cells(extent.x), cells(extent.y));
         self.metric = metric;
         self.radius = radius;
-        self.cells_per_axis = k;
-        self.inv_cell = k as f64 / side;
+        self.extent = extent;
+        self.kx = kx;
+        self.ky = ky;
+        self.inv_cell = Vec2::new(kx as f64 / extent.x, ky as f64 / extent.y);
 
         // Count per cell into starts[c + 1], then prefix-sum.
+        let nc = kx * ky;
         self.starts.clear();
-        self.starts.resize(k * k + 1, 0);
+        self.starts.resize(nc + 1, 0);
         self.slot.clear();
         for &p in positions {
-            debug_assert!(region.contains(p), "position {p} outside region");
             let c = self.cell_index(p);
             self.slot.push(c as u32);
             self.starts[c + 1] += 1;
         }
-        for c in 0..k * k {
+        for c in 0..nc {
             self.starts[c + 1] += self.starts[c];
         }
         // Scatter, using starts[c] as the cursor of cell c; afterwards it
@@ -173,7 +233,7 @@ impl SpatialGrid {
             self.pts[at as usize] = p;
             *s = at;
         }
-        self.starts.copy_within(..k * k, 1);
+        self.starts.copy_within(..nc, 1);
         self.starts[0] = 0;
     }
 
@@ -182,9 +242,10 @@ impl SpatialGrid {
         self.radius
     }
 
-    /// Region this grid was built over.
-    pub fn region(&self) -> SquareRegion {
-        self.region
+    /// Width and height of the indexed rectangle (the region's side twice
+    /// for a grid over the deployment square).
+    pub fn extent(&self) -> Vec2 {
+        self.extent
     }
 
     /// Number of indexed positions.
@@ -207,7 +268,7 @@ impl SpatialGrid {
     ///
     /// Panics if `i` is out of bounds.
     pub fn neighbors_within(&self, i: usize, out: &mut Vec<u32>) {
-        self.nodes_near(self.pts[self.slot[i] as usize], out);
+        self.nodes_near(self.position(i as u32), out);
         out.retain(|&j| j as usize != i);
     }
 
@@ -226,13 +287,39 @@ impl SpatialGrid {
     }
 
     /// Calls `f(i, j)` once for every unordered pair `i < j` within
-    /// `radius`, in unspecified order: the half-stencil scan described in
-    /// the module docs.
-    pub fn for_each_pair<F: FnMut(u32, u32)>(&self, mut f: F) {
-        let k = self.cells_per_axis;
+    /// `radius` under the grid's metric, in unspecified order: the
+    /// half-stencil scan described in the module docs, with
+    /// [`Metric::within`] on the unshifted positions as the band hook.
+    pub fn for_each_pair<F: FnMut(u32, u32)>(&self, f: F) {
+        self.for_each_pair_banded(
+            |i, j| {
+                self.metric
+                    .within(self.position(i), self.position(j), self.radius)
+            },
+            f,
+        );
+    }
+
+    /// The half-stencil scan with the decision on borderline pairs left to
+    /// the caller: calls `f(i, j)`, `i < j`, once for every pair whose
+    /// local `d²` is below `r²` by more than the [`BAND_REL`] band, and
+    /// for every pair inside the band for which `band(i, j)` holds. A
+    /// torus too small for the stencil hands every pair to `band`.
+    pub fn for_each_pair_banded<B, F>(&self, mut band: B, mut f: F)
+    where
+        B: FnMut(u32, u32) -> bool,
+        F: FnMut(u32, u32),
+    {
+        let (kx, ky) = (self.kx, self.ky);
         let wrap = match self.metric {
-            Metric::Toroidal { .. } if k < 3 => {
-                self.for_each_pair_all(f);
+            Metric::Toroidal { .. } if kx.min(ky) < 3 => {
+                for a in 0..self.len() {
+                    for b in a + 1..self.len() {
+                        if band(self.ids[a], self.ids[b]) {
+                            self.emit(a, b, &mut f);
+                        }
+                    }
+                }
                 return;
             }
             Metric::Toroidal { side } => Some(side),
@@ -243,13 +330,20 @@ impl SpatialGrid {
             lo: r2 - r2 * BAND_REL,
             hi: r2 + r2 * BAND_REL,
         };
-        for cy in 0..k {
-            for cx in 0..k {
-                let here = self.cell(cy * k + cx);
-                self.cross(here.clone(), here.clone(), Vec2::ZERO, &cut, &mut f);
+        for cy in 0..ky {
+            for cx in 0..kx {
+                let here = self.cell(cy * kx + cx);
+                self.cross(
+                    here.clone(),
+                    here.clone(),
+                    Vec2::ZERO,
+                    &cut,
+                    &mut band,
+                    &mut f,
+                );
                 for (dx, dy) in STENCIL {
-                    if let Some((c, shift)) = neighbour(cx, cy, dx, dy, k, wrap) {
-                        self.cross(here.clone(), self.cell(c), shift, &cut, &mut f);
+                    if let Some((c, shift)) = neighbour(cx, cy, dx, dy, kx, ky, wrap) {
+                        self.cross(here.clone(), self.cell(c), shift, &cut, &mut band, &mut f);
                     }
                 }
             }
@@ -260,12 +354,13 @@ impl SpatialGrid {
     /// image next to `here` is its positions plus `shift`, and reports the
     /// linked pairs. A cell against itself visits each of its pairs once.
     #[inline(always)]
-    fn cross<F: FnMut(u32, u32)>(
+    fn cross<B: FnMut(u32, u32) -> bool, F: FnMut(u32, u32)>(
         &self,
         here: Range<usize>,
         there: Range<usize>,
         shift: Vec2,
         cut: &Cut,
+        band: &mut B,
         f: &mut F,
     ) {
         let same = here == there;
@@ -275,20 +370,8 @@ impl SpatialGrid {
             for (b, &pb) in (from..there.end).zip(&self.pts[from..there.end]) {
                 let (dx, dy) = (q.x - pb.x, q.y - pb.y);
                 let d2 = dx * dx + dy * dy;
-                if d2 < cut.lo || (d2 <= cut.hi && self.metric.within(self.pts[a], pb, self.radius))
-                {
+                if d2 < cut.lo || (d2 <= cut.hi && band(self.ids[a], self.ids[b])) {
                     self.emit(a, b, f);
-                }
-            }
-        }
-    }
-
-    /// All-pairs fallback for a torus too small for the stencil.
-    fn for_each_pair_all<F: FnMut(u32, u32)>(&self, mut f: F) {
-        for (a, &pa) in self.pts.iter().enumerate() {
-            for (b, &pb) in self.pts.iter().enumerate().skip(a + 1) {
-                if self.metric.within(pa, pb, self.radius) {
-                    self.emit(a, b, &mut f);
                 }
             }
         }
@@ -305,30 +388,34 @@ impl SpatialGrid {
         }
     }
 
+    /// Indexed (unshifted) position of node `i`.
+    #[inline]
+    fn position(&self, i: u32) -> Vec2 {
+        self.pts[self.slot[i as usize] as usize]
+    }
+
     /// Slots of cell `c`.
     #[inline]
     fn cell(&self, c: usize) -> Range<usize> {
         self.starts[c] as usize..self.starts[c + 1] as usize
     }
 
-    /// Cell index of a point (clamped, so rounding at the far edges stays
-    /// in range).
+    /// Cell index of a point (clamped, so rounding at the edges stays in
+    /// range).
     #[inline]
     fn cell_index(&self, p: Vec2) -> usize {
-        let k = self.cells_per_axis;
-        let cx = ((p.x * self.inv_cell) as usize).min(k - 1);
-        let cy = ((p.y * self.inv_cell) as usize).min(k - 1);
-        cy * k + cx
+        let cx = ((p.x * self.inv_cell.x) as usize).min(self.kx - 1);
+        let cy = ((p.y * self.inv_cell.y) as usize).min(self.ky - 1);
+        cy * self.kx + cx
     }
 
     /// Visits each distinct candidate cell in the 3×3 neighborhood of `p`'s
     /// cell, handling torus wrap and small grids (where wrapped neighbor
     /// cells coincide).
     fn for_each_candidate_cell<F: FnMut(usize)>(&self, p: Vec2, mut f: F) {
-        let k = self.cells_per_axis;
-        let n = k as isize;
+        let (nx, ny) = (self.kx as isize, self.ky as isize);
         let c = self.cell_index(p);
-        let (cx, cy) = ((c % k) as isize, (c / k) as isize);
+        let (cx, cy) = ((c % self.kx) as isize, (c / self.kx) as isize);
         let wrap = matches!(self.metric, Metric::Toroidal { .. });
         // On small grids wrapped neighbor cells coincide; dedupe through a
         // tiny fixed buffer (at most 9 candidates).
@@ -338,14 +425,14 @@ impl SpatialGrid {
             for dx in -1..=1isize {
                 let (x, y) = (cx + dx, cy + dy);
                 let (x, y) = if wrap {
-                    (x.rem_euclid(n), y.rem_euclid(n))
+                    (x.rem_euclid(nx), y.rem_euclid(ny))
                 } else {
-                    if !(0..n).contains(&x) || !(0..n).contains(&y) {
+                    if !(0..nx).contains(&x) || !(0..ny).contains(&y) {
                         continue;
                     }
                     (x, y)
                 };
-                let cell = y as usize * k + x as usize;
+                let cell = y as usize * self.kx + x as usize;
                 if visited[..count].contains(&cell) {
                     continue;
                 }
@@ -358,42 +445,44 @@ impl SpatialGrid {
 }
 
 /// Thresholds on the local `d²`: below `lo` linked, above `hi` not, in
-/// between re-decided by the metric.
+/// between decided by the band hook.
 struct Cut {
     lo: f64,
     hi: f64,
 }
 
-/// The stencil neighbour `(cx + dx, cy + dy)` of a cell in a `k × k` grid
-/// and the shift that takes its positions to the image adjacent to the
-/// cell; `None` past a Euclidean edge. `wrap` is the torus side, if any.
+/// The stencil neighbour `(cx + dx, cy + dy)` of a cell in a `kx × ky`
+/// grid and the shift that takes its positions to the image adjacent to
+/// the cell; `None` past a Euclidean edge. `wrap` is the torus side, if
+/// any.
 #[inline]
 fn neighbour(
     cx: usize,
     cy: usize,
     dx: isize,
     dy: isize,
-    k: usize,
+    kx: usize,
+    ky: usize,
     wrap: Option<f64>,
 ) -> Option<(usize, Vec2)> {
     let (mut x, mut y) = (cx as isize + dx, cy as isize + dy);
-    let n = k as isize;
+    let (nx, ny) = (kx as isize, ky as isize);
     let mut shift = Vec2::ZERO;
-    if x < 0 || x >= n || y >= n {
+    if x < 0 || x >= nx || y >= ny {
         let side = wrap?;
         if x < 0 {
-            x += n;
+            x += nx;
             shift.x = -side;
-        } else if x >= n {
-            x -= n;
+        } else if x >= nx {
+            x -= nx;
             shift.x = side;
         }
-        if y >= n {
-            y -= n;
+        if y >= ny {
+            y -= ny;
             shift.y = side;
         }
     }
-    Some((y as usize * k + x as usize, shift))
+    Some((y as usize * kx + x as usize, shift))
 }
 
 #[cfg(test)]
@@ -495,7 +584,7 @@ mod tests {
 
     #[test]
     fn radius_larger_than_region_works() {
-        // cells_per_axis clamps to 1; all nodes share one cell.
+        // The cell count clamps to 1; all nodes share one cell.
         let side = 5.0;
         let positions = random_positions(20, side, 4);
         let grid = SpatialGrid::build(&positions, SquareRegion::new(side), 50.0, Metric::Euclidean);
@@ -645,7 +734,7 @@ mod tests {
                     for seed in 0..3u64 {
                         let positions = probe_points(side, radius, cells, seed);
                         let grid = SpatialGrid::build(&positions, region, radius, metric);
-                        assert_eq!(grid.cells_per_axis, cells, "r {radius}");
+                        assert_eq!((grid.kx, grid.ky), (cells, cells), "r {radius}");
                         assert_eq!(
                             scanned_pairs(&grid),
                             all_pairs(&positions, radius, metric),
@@ -729,12 +818,104 @@ mod tests {
             let truth = metric.within(a, b, radius);
             assert_ne!(local <= radius * radius, truth, "local d² must disagree");
             grid.rebuild(&[a, b], region, radius, metric);
-            assert!(grid.cells_per_axis >= 3);
+            assert!(grid.kx >= 3 && grid.ky >= 3);
             let mut linked = false;
             grid.for_each_pair(|_, _| linked = true);
             assert_eq!(linked, truth, "a {a} b {b} r {radius}");
             exercised += 1;
         }
         assert_eq!(exercised, 32, "too few straddling pairs found");
+    }
+
+    /// Deterministic points over a `w × h` frame.
+    fn frame_points(n: usize, w: f64, h: f64, seed: u64) -> Vec<Vec2> {
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Vec2::new(rng.f64_range(0.0..w), rng.f64_range(0.0..h)))
+            .collect()
+    }
+
+    #[test]
+    fn frame_scan_reports_every_close_pair_exactly_once() {
+        let pts = frame_points(200, 10.0, 6.0, 0x1234_5678);
+        let grid = SpatialGrid::frame(&pts, 10.0, 6.0, 1.5);
+        assert_eq!((grid.kx, grid.ky), (6, 3));
+        assert_eq!(grid.extent(), Vec2::new(10.0, 6.0));
+        assert_eq!(
+            scanned_pairs(&grid),
+            all_pairs(&pts, 1.5, Metric::Euclidean)
+        );
+    }
+
+    #[test]
+    fn frame_rebuild_matches_fresh_build_across_shapes() {
+        let mut grid = SpatialGrid::frame(&[], 1.0, 1.0, 1.0);
+        for (seed, w, h, radius) in [
+            (1u64, 10.0, 5.0, 1.0),
+            (2, 3.0, 12.0, 0.7),
+            (3, 10.0, 5.0, 1.0),
+            (4, 40.0, 40.0, 4.5),
+        ] {
+            let pts = frame_points(60 + seed as usize * 30, w, h, seed);
+            grid.rebuild_frame(&pts, w, h, radius);
+            let fresh = SpatialGrid::frame(&pts, w, h, radius);
+            let expected = all_pairs(&pts, radius, Metric::Euclidean);
+            assert_eq!(scanned_pairs(&grid), expected, "seed {seed}");
+            assert_eq!(scanned_pairs(&fresh), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn single_cell_frame_scans_all_pairs() {
+        let pts = [
+            Vec2::new(0.1, 0.1),
+            Vec2::new(0.5, 0.5),
+            Vec2::new(0.9, 0.9),
+        ];
+        let grid = SpatialGrid::frame(&pts, 1.0, 1.0, 5.0);
+        assert_eq!((grid.kx, grid.ky), (1, 1));
+        assert_eq!(scanned_pairs(&grid), vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive finite")]
+    fn zero_frame_extent_is_rejected() {
+        SpatialGrid::frame(&[], 0.0, 1.0, 1.0);
+    }
+
+    /// Pairs inside the band go to the caller's hook, and its verdict
+    /// stands; pairs clear of the band never reach it.
+    #[test]
+    fn band_hook_decides_exactly_the_borderline_pairs() {
+        let r = 1.0;
+        // (0, 1) exactly r apart, (2, 3) well inside, (4, 5) well outside.
+        let pts = [
+            Vec2::new(2.0, 2.0),
+            Vec2::new(3.0, 2.0),
+            Vec2::new(5.0, 5.0),
+            Vec2::new(5.5, 5.0),
+            Vec2::new(1.0, 5.0),
+            Vec2::new(1.0, 6.5),
+        ];
+        let grid = SpatialGrid::frame(&pts, 8.0, 8.0, r);
+        for verdict in [false, true] {
+            let mut asked = Vec::new();
+            let mut pairs = Vec::new();
+            grid.for_each_pair_banded(
+                |i, j| {
+                    asked.push((i.min(j), i.max(j)));
+                    verdict
+                },
+                |i, j| pairs.push((i, j)),
+            );
+            pairs.sort_unstable();
+            assert_eq!(asked, vec![(0, 1)]);
+            let expected = if verdict {
+                vec![(0, 1), (2, 3)]
+            } else {
+                vec![(2, 3)]
+            };
+            assert_eq!(pairs, expected, "verdict {verdict}");
+        }
     }
 }

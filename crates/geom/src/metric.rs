@@ -65,13 +65,14 @@ impl Metric {
     }
 }
 
-/// Folds a coordinate difference into the minimum-image convention
-/// `[-side/2, side/2]`.
+/// Folds a coordinate difference into its minimum-image magnitude
+/// `[0, side/2]`. It folds `|delta|`, which is exact, so
+/// `distance_sq(a, b)` and `distance_sq(b, a)` are the same bits.
 #[inline]
 fn min_image(delta: f64, side: f64) -> f64 {
-    let d = delta.rem_euclid(side);
+    let d = delta.abs() % side;
     if d > side * 0.5 {
-        d - side
+        side - d
     } else {
         d
     }
@@ -128,6 +129,27 @@ mod tests {
             assert_eq!(m.distance(a, a), 0.0);
             // Triangle inequality.
             assert!(m.distance(a, c) <= m.distance(a, b) + m.distance(b, c) + 1e-12);
+        }
+    }
+
+    /// Folding the signed difference rounded the two orders differently:
+    /// this pair read exactly 3600 one way and 3600 + 7 ulps the other,
+    /// so whether it linked at `r = 60` depended on which endpoint came
+    /// first.
+    #[test]
+    fn toroidal_distance_is_bitwise_symmetric() {
+        let m = Metric::toroidal(400.0);
+        let (a, b) = (
+            Vec2::new(140.0, 38.99965243544936),
+            Vec2::new(200.00000000000003, 38.99965243544936),
+        );
+        assert_eq!(m.distance_sq(a, b).to_bits(), m.distance_sq(b, a).to_bits());
+        assert_eq!(m.within(a, b, 60.0), m.within(b, a, 60.0));
+        let mut rng = manet_util::Rng::seed_from_u64(11);
+        for _ in 0..10_000 {
+            let p = Vec2::new(rng.f64_range(0.0..400.0), rng.f64_range(0.0..400.0));
+            let q = Vec2::new(rng.f64_range(0.0..400.0), rng.f64_range(0.0..400.0));
+            assert_eq!(m.distance_sq(p, q).to_bits(), m.distance_sq(q, p).to_bits());
         }
     }
 

@@ -15,11 +15,15 @@
 //!    in-process pushes, so a single-shard plane is immune to chaos by
 //!    construction.
 //! 2. **Per-shard compute** (parallel over a scoped worker pool): each
-//!    shard buckets its frame-local points into a [`FrameGrid`] and scans
-//!    candidate pairs once, writing sorted neighbor rows for its owned
-//!    nodes. Shards share nothing mutable, so any worker count produces
-//!    the same rows — all fault-plane decisions happen on the sequential
-//!    exchange path.
+//!    shard indexes its frame-local points into a frame-mode
+//!    [`SpatialGrid`] (a non-wrapping `frame_w × frame_h` rectangle) and
+//!    runs the same half-stencil pair scan as the monolithic builder,
+//!    over positions copied into cell order and with the distance tested
+//!    first. Only then does it drop ghost–ghost pairs (another shard owns
+//!    them) and a node paired with its own periodic image, and write
+//!    sorted neighbor rows for its owned nodes. Shards share nothing
+//!    mutable, so any worker count produces the same rows — all
+//!    fault-plane decisions happen on the sequential exchange path.
 //! 3. **Merge** (sequential, in shard-index order): each owned row is
 //!    swapped into the global [`Topology`] — pointer swaps, no copying —
 //!    so row capacities circulate between the shard buffers and the
@@ -38,16 +42,17 @@
 //! translated, which can perturb the distance by a few ulps. The hot
 //! path therefore decides on the local Euclidean distance only when it
 //! is clear of the threshold by a safety band (`r² · 1e-9`, orders of
-//! magnitude wider than the translation error); the astronomically rare
-//! borderline pairs are re-decided with the global metric on the
-//! original coordinates. Every link decision is thus identical to the
-//! monolithic path, making the whole tick — counters, events, traces —
-//! bit-identical at any shard count.
+//! magnitude wider than the translation error); the grid hands the
+//! astronomically rare borderline pairs to the plane's band hook, which
+//! re-decides them with the global metric on the original coordinates.
+//! Every link decision is thus identical to the monolithic path, making
+//! the whole tick — counters, events, traces — bit-identical at any
+//! shard count.
 
-use crate::grid::FrameGrid;
 use crate::interconnect::{Interconnect, InterconnectConfig};
-use manet_geom::grid::BAND_REL;
-use manet_geom::{Metric, ShardDims, ShardLayout, ShardLayoutError, SquareRegion, Vec2};
+use manet_geom::{
+    Metric, ShardDims, ShardLayout, ShardLayoutError, SpatialGrid, SquareRegion, Vec2,
+};
 use manet_mobility::{Mobility, StepPlan};
 use manet_sim::{
     Channel, FaultError, FramePartition, FrameTiming, HelloProtocol, MobilityStage, NodeId,
@@ -97,7 +102,7 @@ pub struct ShardReport {
 
 /// One shard's working state: its frame-local point set (owned prefix,
 /// then ghosts), computed neighbor rows, grid scratch, and statistics.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ShardState {
     /// Global node ids, owned nodes first, then ghost entries.
     ids: Vec<u32>,
@@ -114,7 +119,8 @@ struct ShardState {
     /// the allocation-free steady state instead of growing buffers
     /// organically for hundreds of ticks.
     row_cap: usize,
-    grid: FrameGrid,
+    /// The frame-mode pair-scan grid over `pts`.
+    grid: SpatialGrid,
     stats: ShardStats,
     /// Wall-clock measurement of this tick's `compute` call, taken on the
     /// worker thread when the probe records spans. The main thread folds
@@ -124,10 +130,24 @@ struct ShardState {
 }
 
 impl ShardState {
+    /// An empty shard whose local frame is `frame.x × frame.y`.
+    fn new(frame: Vec2, radius: f64) -> Self {
+        ShardState {
+            ids: Vec::new(),
+            pts: Vec::new(),
+            owned: 0,
+            rows: Vec::new(),
+            row_cap: 0,
+            grid: SpatialGrid::frame(&[], frame.x, frame.y, radius),
+            stats: ShardStats::default(),
+            timed: None,
+        }
+    }
+
     /// Computes sorted neighbor rows for this shard's owned nodes.
     ///
     /// `positions` are the global coordinates, consulted only for the
-    /// rare borderline pairs inside the decision band.
+    /// rare borderline pairs inside the grid's decision band.
     fn compute(&mut self, positions: &[Vec2], radius: f64, metric: Metric) {
         let ShardState {
             ids,
@@ -150,46 +170,41 @@ impl ShardState {
             }
         }
         stats.boundary_links = 0;
-        grid.rebuild(pts);
-        let r2 = radius * radius;
-        let band = r2 * BAND_REL;
-        grid.for_each_pair(|a, b| {
-            let (a, b) = (a as usize, b as usize);
-            if a >= oc && b >= oc {
-                return; // ghost–ghost: some other shard owns this pair
-            }
-            let (ia, ib) = (ids[a], ids[b]);
-            if ia == ib {
-                return; // a node and its own periodic image
-            }
-            let (dx, dy) = (pts[a].x - pts[b].x, pts[a].y - pts[b].y);
-            let d2 = dx * dx + dy * dy;
-            let within = if (d2 - r2).abs() <= band {
-                // Borderline: re-decide with the global metric on the
-                // untranslated coordinates so the decision is identical
-                // to the monolithic builder's.
-                metric.within(positions[ia as usize], positions[ib as usize], radius)
-            } else {
-                d2 <= r2
-            };
-            if !within {
-                return;
-            }
-            if a < oc {
-                rows[a].push(ib);
-            }
-            if b < oc {
-                rows[b].push(ia);
-            }
-            if (a < oc) != (b < oc) {
-                // Owned–ghost link: charge it once globally, at the
-                // side whose owned id is the smaller endpoint.
-                let (own, ghost) = if a < oc { (ia, ib) } else { (ib, ia) };
-                if own < ghost {
-                    stats.boundary_links += 1;
+        let frame = grid.extent();
+        grid.rebuild_frame(pts, frame.x, frame.y, radius);
+        let ids = &*ids;
+        grid.for_each_pair_banded(
+            // Borderline: re-decide with the global metric on the
+            // untranslated coordinates, as the monolithic builder does.
+            |a, b| {
+                let (ia, ib) = (ids[a as usize] as usize, ids[b as usize] as usize);
+                metric.within(positions[ia], positions[ib], radius)
+            },
+            |a, b| {
+                let (a, b) = (a as usize, b as usize);
+                if a >= oc && b >= oc {
+                    return; // ghost–ghost: some other shard owns this pair
                 }
-            }
-        });
+                let (ia, ib) = (ids[a], ids[b]);
+                if ia == ib {
+                    return; // a node and its own periodic image
+                }
+                if a < oc {
+                    rows[a].push(ib);
+                }
+                if b < oc {
+                    rows[b].push(ia);
+                }
+                if (a < oc) != (b < oc) {
+                    // Owned–ghost link: charge it once globally, at the
+                    // side whose owned id is the smaller endpoint.
+                    let (own, ghost) = if a < oc { (ia, ib) } else { (ib, ia) };
+                    if own < ghost {
+                        stats.boundary_links += 1;
+                    }
+                }
+            },
+        );
         for row in &mut rows[..oc] {
             row.sort_unstable();
             // A pair can be discovered through two image combinations in
@@ -266,12 +281,10 @@ impl ShardPlane {
         // slack covers the ulp-level error of tile-relative offsets.
         let margin = radius * (1.0 + 1e-9) + 1e-9;
         let layout = ShardLayout::new(dims, region, margin, wrap)?;
-        let mut shards = Vec::with_capacity(dims.count());
-        for _ in 0..dims.count() {
-            let mut s = ShardState::default();
-            s.grid.configure(layout.frame_w(), layout.frame_h(), radius);
-            shards.push(s);
-        }
+        let frame = Vec2::new(layout.frame_w(), layout.frame_h());
+        let shards = (0..dims.count())
+            .map(|_| ShardState::new(frame, radius))
+            .collect();
         let interconnect = Interconnect::new(InterconnectConfig::default(), dims.count())
             .expect("the default interconnect config is valid");
         Ok(ShardPlane {
@@ -798,6 +811,80 @@ mod tests {
                     topo.neighbors(i),
                     reference.neighbors(i),
                     "{dims}: node {i} rows diverge"
+                );
+            }
+        }
+    }
+
+    /// Pairs `r` apart, and with one end moved by ±1 ulp, straddling the
+    /// tile edges of the 2x1 and 2x2 layouts and the torus seam: whichever way the local
+    /// `d²` rounds, the plane's band hook must give the monolithic
+    /// verdict, including on the self-images of the 1x1 frame.
+    #[test]
+    fn borderline_pairs_across_shard_edges_and_the_seam_match_monolithic_rows() {
+        let (side, radius) = (400.0, 60.0);
+        let region = SquareRegion::new(side);
+        let metric = Metric::toroidal(side);
+        let wrap = |x: f64| {
+            if x < 0.0 {
+                x + side
+            } else if x >= side {
+                x - side
+            } else {
+                x
+            }
+        };
+        let mut rng = Rng::seed_from_u64(0xED6E);
+        let mut pts = Vec::new();
+        for edge in [0.0, side / 2.0] {
+            for _ in 0..6 {
+                let u = rng.f64_range(0.0..radius);
+                // Split across the edge, from the edge, onto the edge.
+                for (a, b) in [
+                    (edge - u, edge - u + radius),
+                    (edge, edge + radius),
+                    (edge - radius, edge),
+                ] {
+                    let (a, b) = (wrap(a), wrap(b));
+                    for b in [b.next_down(), b, b.next_up()] {
+                        if !(0.0..side).contains(&b) {
+                            continue;
+                        }
+                        let t = rng.f64_range(0.0..side);
+                        pts.extend([
+                            Vec2::new(a, t),
+                            Vec2::new(b, t),
+                            Vec2::new(t, a),
+                            Vec2::new(t, b),
+                        ]);
+                    }
+                }
+            }
+        }
+        // Both verdicts occur inside the band, so a hook that always
+        // links or never links would show.
+        let r2 = radius * radius;
+        let mut verdicts = [0usize; 2];
+        for (i, &p) in pts.iter().enumerate() {
+            for &q in &pts[i + 1..] {
+                if (metric.distance_sq(p, q) - r2).abs() <= r2 * 1e-9 {
+                    verdicts[metric.within(p, q, radius) as usize] += 1;
+                }
+            }
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+        let reference = Topology::compute(&pts, region, radius, metric);
+        for dims in ["1x1", "2x1", "2x2"] {
+            let dims = ShardDims::parse(dims).unwrap();
+            let mut plane = ShardPlane::new(dims, region, radius, metric)
+                .unwrap()
+                .with_workers(1);
+            let topo = build(&mut plane, &pts, radius, metric);
+            for i in 0..pts.len() as NodeId {
+                assert_eq!(
+                    topo.neighbors(i),
+                    reference.neighbors(i),
+                    "{dims}: node {i}"
                 );
             }
         }

@@ -1,7 +1,8 @@
 //! The zero-allocation contract of the steady-state *sharded* topology
 //! step, the sharded twin of `manet-sim`'s `alloc_free` test: once every
 //! shard's buffers have warmed up — frame point/id vectors, ghost
-//! margins, per-shard `FrameGrid` CSR arrays, neighbor rows, and the
+//! margins, per-shard frame-mode `SpatialGrid` CSR arrays and
+//! cell-ordered positions, neighbor rows, and the
 //! owner-migration scratch — a full `World::step_with` on the
 //! [`ShardPlane`] (mobility, owner exchange + ghost replication,
 //! per-shard topology, deterministic merge, diff, HELLO accounting)
@@ -9,8 +10,8 @@
 //! allocator wrapped around the system one, at `workers = 1` so the
 //! count excludes thread spawning (the scoped pool allocates per spawn
 //! by construction; the parallel path's *results* are pinned identical
-//! by the plane's worker-count tests). The cluster/route layers above
-//! are outside the contract on the monolithic path too.
+//! by the plane's worker-count tests). The full sharded protocol tick,
+//! cluster and route layers included, is pinned in `alloc_free_stack.rs`.
 //!
 //! This file holds exactly one test so no concurrent test case can
 //! allocate while the steady-state window is being counted.

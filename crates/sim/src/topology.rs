@@ -123,8 +123,8 @@ impl Topology {
     /// node's degree exceeds that floor and its own past capacity.
     pub fn compute_into(&mut self, grid: &SpatialGrid) {
         let n = grid.len();
-        let (r, side) = (grid.radius(), grid.region().side());
-        let degree = n as f64 * std::f64::consts::PI * r * r / (side * side);
+        let (r, extent) = (grid.radius(), grid.extent());
+        let degree = n as f64 * std::f64::consts::PI * r * r / (extent.x * extent.y);
         let floor = ((2.0 * degree).ceil() as usize).min(n).max(8);
         self.neighbors.truncate(n);
         self.neighbors.resize_with(n, Vec::new);

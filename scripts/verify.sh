@@ -50,6 +50,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench cargo fmt --check + clippy -D warnings"
+# perfbench is its own workspace, so the root fmt/clippy steps above skip
+# it; gate its formatting and lints the same way.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=target cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
